@@ -133,83 +133,16 @@ impl Scheduler for FairScheduler {
 mod tests {
     use super::*;
     use cluster::Fleet;
-    use hadoop_sim::{ClusterQuery, ClusterState, Engine, EngineConfig, NoiseConfig};
+    use hadoop_sim::{Engine, EngineConfig, FixedQuery, NoiseConfig};
     use simcore::{SimDuration, SimTime};
-    use workload::{Benchmark, GroupId, JobSpec};
-
-    struct MockQuery {
-        fleet: Fleet,
-        state: ClusterState,
-        local: Vec<(JobId, MachineId)>,
-    }
-
-    impl MockQuery {
-        fn new(jobs: Vec<JobEntry>) -> Self {
-            let mut state = ClusterState::new();
-            for entry in jobs {
-                state.insert(entry);
-            }
-            MockQuery {
-                fleet: Fleet::paper_evaluation(),
-                state,
-                local: Vec::new(),
-            }
-        }
-
-        fn entry(id: u64, pending_maps: u32, slots_occupied: u32) -> JobEntry {
-            JobEntry {
-                id: JobId(id),
-                group: GroupId(0),
-                pending_maps,
-                pending_reduces: 0,
-                slots_occupied,
-                completed_tasks: 0,
-                total_tasks: pending_maps + slots_occupied,
-                submitted_at: SimTime::ZERO,
-                submitted: true,
-                finished: false,
-            }
-        }
-    }
-
-    impl ClusterQuery for MockQuery {
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn fleet(&self) -> &Fleet {
-            &self.fleet
-        }
-        fn state(&self) -> &ClusterState {
-            &self.state
-        }
-        fn job_spec(&self, _job: JobId) -> Option<&workload::JobSpec> {
-            None
-        }
-        fn best_map_locality(
-            &self,
-            job: JobId,
-            machine: MachineId,
-        ) -> Option<cluster::hdfs::Locality> {
-            if self.local.contains(&(job, machine)) {
-                Some(cluster::hdfs::Locality::NodeLocal)
-            } else {
-                Some(cluster::hdfs::Locality::Remote)
-            }
-        }
-        fn total_slots(&self) -> usize {
-            96
-        }
-        fn network_congestion(&self) -> f64 {
-            0.0
-        }
-    }
+    use workload::{Benchmark, JobSpec};
 
     #[test]
     fn picks_the_most_deficit_job() {
-        let query = MockQuery::new(vec![
-            MockQuery::entry(0, 5, 40),
-            MockQuery::entry(1, 5, 2),
-            MockQuery::entry(2, 5, 10),
+        let query = FixedQuery::paper(vec![
+            FixedQuery::entry(0, 5, 40),
+            FixedQuery::entry(1, 5, 2),
+            FixedQuery::entry(2, 5, 10),
         ]);
         let mut s = FairScheduler::new();
         assert_eq!(
@@ -221,12 +154,12 @@ mod tests {
     #[test]
     fn prefers_local_job_within_tolerance() {
         // Jobs 1 and 2 have near-equal deficits; job 2 has local data.
-        let mut query = MockQuery::new(vec![
-            MockQuery::entry(0, 5, 40),
-            MockQuery::entry(1, 5, 2),
-            MockQuery::entry(2, 5, 4),
+        let mut query = FixedQuery::paper(vec![
+            FixedQuery::entry(0, 5, 40),
+            FixedQuery::entry(1, 5, 2),
+            FixedQuery::entry(2, 5, 4),
         ]);
-        query.local.push((JobId(2), MachineId(3)));
+        query.node_local.insert((JobId(2), MachineId(3)));
         let mut s = FairScheduler::new();
         assert_eq!(
             s.select_job(&query, MachineId(3), SlotKind::Map),
@@ -242,7 +175,7 @@ mod tests {
 
     #[test]
     fn returns_none_when_nothing_pending() {
-        let query = MockQuery::new(vec![MockQuery::entry(0, 0, 10)]);
+        let query = FixedQuery::paper(vec![FixedQuery::entry(0, 0, 10)]);
         let mut s = FairScheduler::new();
         assert_eq!(s.select_job(&query, MachineId(0), SlotKind::Map), None);
         assert_eq!(s.select_job(&query, MachineId(0), SlotKind::Reduce), None);
@@ -340,10 +273,10 @@ mod tests {
 
     #[test]
     fn traced_selection_reports_deficit_scores() {
-        let query = MockQuery::new(vec![
-            MockQuery::entry(0, 5, 40),
-            MockQuery::entry(1, 5, 2),
-            MockQuery::entry(2, 5, 10),
+        let query = FixedQuery::paper(vec![
+            FixedQuery::entry(0, 5, 40),
+            FixedQuery::entry(1, 5, 2),
+            FixedQuery::entry(2, 5, 10),
         ]);
         let mut s = FairScheduler::new();
         let (chosen, candidates) = s.select_job_traced(&query, MachineId(0), SlotKind::Map);
@@ -367,7 +300,7 @@ mod tests {
 
     #[test]
     fn deficit_math() {
-        let job = MockQuery::entry(0, 5, 3);
+        let job = FixedQuery::entry(0, 5, 3);
         assert_eq!(FairScheduler::deficit(&job, 10.0), 7.0);
         assert_eq!(FairScheduler::deficit(&job, 2.0), -1.0);
     }

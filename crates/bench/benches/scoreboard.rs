@@ -18,83 +18,42 @@ use baselines::{FairScheduler, FifoScheduler};
 use bench::{black_box, Harness};
 use cluster::{Fleet, MachineId, SlotKind};
 use eant::{EAntConfig, EAntScheduler};
-use hadoop_sim::{
-    ClusterQuery, ClusterState, Engine, EngineConfig, JobEntry, NoiseConfig, Scheduler,
-};
+use hadoop_sim::{Engine, EngineConfig, FixedQuery, JobEntry, NoiseConfig, Scheduler};
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::msd::MsdConfig;
-use workload::{JobId, JobSpec};
+use workload::JobId;
 
 /// A standalone cluster view with `jobs` active jobs, mimicking the
 /// engine's mid-run state so a single `select_job` call can be timed in
-/// isolation.
-struct BenchQuery {
-    fleet: Fleet,
-    state: ClusterState,
-}
-
-impl BenchQuery {
-    fn new(jobs: usize) -> Self {
-        let mut rng = SimRng::seed_from(2015).fork("bench-scoreboard");
-        let mut state = ClusterState::new();
-        for g in 0..9 {
-            state.intern_group(&format!("Benchmark-{g}"));
+/// isolation. Every fifth (job, machine) pair is node-local, like a real
+/// block layout.
+fn bench_query(jobs: usize) -> FixedQuery {
+    let mut rng = SimRng::seed_from(2015).fork("bench-scoreboard");
+    let mut query = FixedQuery::paper((0..jobs).map(|i| {
+        let pending_maps = rng.uniform_u64(0, 40) as u32;
+        let slots_occupied = rng.uniform_u64(0, 6) as u32;
+        let completed = rng.uniform_u64(0, 30) as u32;
+        JobEntry {
+            group: workload::GroupId((i % 9) as u32),
+            pending_reduces: rng.uniform_u64(0, 4) as u32,
+            completed_tasks: completed,
+            total_tasks: pending_maps + slots_occupied + completed,
+            submitted_at: SimTime::from_secs(i as u64),
+            ..FixedQuery::entry(i as u64, pending_maps, slots_occupied)
         }
-        for i in 0..jobs {
-            let pending_maps = rng.uniform_u64(0, 40) as u32;
-            let slots_occupied = rng.uniform_u64(0, 6) as u32;
-            let completed = rng.uniform_u64(0, 30) as u32;
-            state.insert(JobEntry {
-                id: JobId(i as u64),
-                group: workload::GroupId((i % 9) as u32),
-                pending_maps,
-                pending_reduces: rng.uniform_u64(0, 4) as u32,
-                slots_occupied,
-                completed_tasks: completed,
-                total_tasks: pending_maps + slots_occupied + completed,
-                submitted_at: SimTime::from_secs(i as u64),
-                submitted: true,
-                finished: false,
-            });
-        }
-        BenchQuery {
-            fleet: Fleet::paper_evaluation(),
-            state,
-        }
+    }));
+    for g in 0..9 {
+        query.state.intern_group(&format!("Benchmark-{g}"));
     }
-}
-
-impl ClusterQuery for BenchQuery {
-    fn now(&self) -> SimTime {
-        SimTime::from_secs(600)
-    }
-    fn fleet(&self) -> &Fleet {
-        &self.fleet
-    }
-    fn state(&self) -> &ClusterState {
-        &self.state
-    }
-    fn job_spec(&self, _job: JobId) -> Option<&JobSpec> {
-        None
-    }
-    fn best_map_locality(&self, job: JobId, machine: MachineId) -> Option<cluster::hdfs::Locality> {
-        // Deterministic mix of localities, like a real block layout.
-        if (job.index() + machine.index()).is_multiple_of(5) {
-            Some(cluster::hdfs::Locality::NodeLocal)
-        } else {
-            Some(cluster::hdfs::Locality::Remote)
-        }
-    }
-    fn total_slots(&self) -> usize {
-        self.fleet.total_slots()
-    }
-    fn network_congestion(&self) -> f64 {
-        0.4
-    }
+    let pairs = (0..jobs).flat_map(|j| (0..16).map(move |m| (JobId(j as u64), MachineId(m))));
+    query.node_local = pairs
+        .filter(|(j, m)| (j.index() + m.index()).is_multiple_of(5))
+        .collect();
+    query
 }
 
 fn select_job_bench(h: &mut Harness, name: &str, jobs: usize, scheduler: &mut dyn Scheduler) {
-    let query = BenchQuery::new(jobs);
+    let query = bench_query(jobs);
     let machines: Vec<MachineId> = query.fleet.ids().collect();
     let mut i = 0usize;
     h.bench(&format!("select_job/{name}_{jobs}jobs"), || {

@@ -85,30 +85,30 @@ pub fn weight_factor(
     beta: f64,
     local_boost: f64,
 ) -> f64 {
-    let (fairness, locality) =
-        weight_split(has_local_data, min_share, occupied, pool, beta, local_boost);
-    fairness * locality
+    fairness_factor(min_share, occupied, pool, beta)
+        * locality_factor(has_local_data, beta, local_boost)
 }
 
-/// The Eq. 8 weight factor split into its `(fairness, locality)` components:
-/// `fairness = η^β` and `locality` the node-local boost (1 without local
-/// data). Their product is exactly [`weight_factor`] — decision tracing
-/// reports the two factors separately so a trace reader can tell *why* a
-/// candidate was boosted.
-pub fn weight_split(
-    has_local_data: bool,
-    min_share: f64,
-    occupied: u32,
-    pool: usize,
-    beta: f64,
-    local_boost: f64,
-) -> (f64, f64) {
+/// The fairness component of [`weight_factor`]: `η^β`, or 1 with the
+/// heuristic disabled (`beta == 0`). Decision tracing reports it apart
+/// from [`locality_factor`] so a trace reader can tell *why* a candidate
+/// was boosted. It depends on the job only through `occupied`, which lets
+/// a decision memoise it per occupancy.
+pub fn fairness_factor(min_share: f64, occupied: u32, pool: usize, beta: f64) -> f64 {
     if beta == 0.0 {
-        return (1.0, 1.0);
+        return 1.0;
     }
-    let base = fairness(min_share, occupied, pool).powf(beta);
-    let boost = if has_local_data { local_boost } else { 1.0 };
-    (base, boost)
+    fairness(min_share, occupied, pool).powf(beta)
+}
+
+/// The locality component of [`weight_factor`]: the node-local boost, or 1
+/// without local data or with the heuristic disabled (`beta == 0`).
+pub fn locality_factor(has_local_data: bool, beta: f64, local_boost: f64) -> f64 {
+    if beta != 0.0 && has_local_data {
+        local_boost
+    } else {
+        1.0
+    }
 }
 
 #[cfg(test)]
@@ -170,7 +170,8 @@ mod tests {
             for occupied in [0u32, 8, 16, 40] {
                 for beta in [0.0, 0.1, 0.4] {
                     let full = weight_factor(local, 16.0, occupied, 96, beta, 1e3);
-                    let (f, l) = weight_split(local, 16.0, occupied, 96, beta, 1e3);
+                    let f = fairness_factor(16.0, occupied, 96, beta);
+                    let l = locality_factor(local, beta, 1e3);
                     assert_eq!(
                         full,
                         f * l,

@@ -41,7 +41,18 @@ pub struct PheromoneTable {
     tau_init: f64,
     tau_min: f64,
     tau_max: f64,
-    rows: BTreeMap<JobId, Row>,
+    /// Job rows indexed by [`JobId::index`] (the engine's job ids are dense
+    /// from 0), so the decision hot path finds a row with one bounds-checked
+    /// index instead of a B-tree walk. Walking the `Some` entries in index
+    /// order visits jobs in ascending id order, exactly as a map keyed by
+    /// `JobId` would.
+    ///
+    /// Invariant: the last entry, if any, is `Some` — trailing `None`s are
+    /// trimmed on removal — so the derived equality never depends on which
+    /// finished jobs once held rows.
+    rows: Vec<Option<Row>>,
+    /// Number of `Some` entries in `rows`.
+    live: usize,
 }
 
 /// One job's pheromone row with its cached sum, so the Eq. 3 normalizer
@@ -87,7 +98,8 @@ impl PheromoneTable {
             tau_init,
             tau_min,
             tau_max,
-            rows: BTreeMap::new(),
+            rows: Vec::new(),
+            live: 0,
         }
     }
 
@@ -98,26 +110,51 @@ impl PheromoneTable {
 
     /// Number of job rows currently tracked.
     pub fn jobs(&self) -> usize {
-        self.rows.len()
+        self.live
     }
 
     /// Ensures a row exists for `job`, initialized to `tau_init` (equal
     /// probability across machines — the paper's t = 1 state).
     pub fn ensure_job(&mut self, job: JobId) {
-        self.rows
-            .entry(job)
-            .or_insert_with(|| Row::new(vec![self.tau_init; self.machines]));
+        let i = job.index();
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, || None);
+        }
+        if self.rows[i].is_none() {
+            self.rows[i] = Some(Row::new(vec![self.tau_init; self.machines]));
+            self.live += 1;
+        }
     }
 
     /// Drops the row of a finished job (its colony has no more ants).
     pub fn remove_job(&mut self, job: JobId) {
-        self.rows.remove(&job);
+        if let Some(slot) = self.rows.get_mut(job.index()) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
+        while matches!(self.rows.last(), Some(None)) {
+            self.rows.pop();
+        }
+    }
+
+    /// The tracked row of `job`, if any.
+    fn tracked(&self, job: JobId) -> Option<&Row> {
+        self.rows.get(job.index()).and_then(Option::as_ref)
+    }
+
+    /// Every tracked row with its job id, in ascending id order.
+    fn tracked_mut(&mut self) -> impl Iterator<Item = (JobId, &mut Row)> {
+        self.rows
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, row)| row.as_mut().map(|row| (JobId(i as u64), row)))
     }
 
     /// The pheromone on path (job → machine); `tau_init` for untracked
     /// jobs, `tau_min` for out-of-range machines.
     pub fn get(&self, job: JobId, machine: MachineId) -> f64 {
-        match self.rows.get(&job) {
+        match self.tracked(job) {
             Some(row) => row
                 .tau
                 .get(machine.index())
@@ -129,13 +166,13 @@ impl PheromoneTable {
 
     /// The full row of a tracked job.
     pub fn row(&self, job: JobId) -> Option<&[f64]> {
-        self.rows.get(&job).map(|r| r.tau.as_slice())
+        self.tracked(job).map(|r| r.tau.as_slice())
     }
 
     /// Eq. 3: the probability distribution over machines for `job`
     /// (pheromone row normalized to sum 1). Untracked jobs are uniform.
     pub fn probabilities(&self, job: JobId) -> Vec<f64> {
-        match self.rows.get(&job) {
+        match self.tracked(job) {
             Some(row) => row.tau.iter().map(|&t| t / row.sum).collect(),
             None => vec![1.0 / self.machines as f64; self.machines],
         }
@@ -151,7 +188,7 @@ impl PheromoneTable {
     /// Panics if `machine` is out of range for a tracked job, exactly as
     /// indexing the `probabilities` vector would.
     pub fn probability(&self, job: JobId, machine: MachineId) -> f64 {
-        match self.rows.get(&job) {
+        match self.tracked(job) {
             Some(row) => row.tau[machine.index()] / row.sum,
             None => 1.0 / self.machines as f64,
         }
@@ -202,8 +239,9 @@ impl PheromoneTable {
             }
         }
         let zero = vec![0.0; self.machines];
-        for (job, row) in &mut self.rows {
-            let own = deposits.get(job).unwrap_or(&zero);
+        let (tau_min, tau_max) = (self.tau_min, self.tau_max);
+        for (job, row) in self.tracked_mut() {
+            let own = deposits.get(&job).unwrap_or(&zero);
             for (m, tau) in row.tau.iter_mut().enumerate() {
                 let foreign = if negative_feedback {
                     let others = depositors[m] - u32::from(own[m] > 0.0);
@@ -216,7 +254,7 @@ impl PheromoneTable {
                     0.0
                 };
                 let delta = own[m] - foreign;
-                *tau = ((1.0 - rho) * *tau + rho * delta).clamp(self.tau_min, self.tau_max);
+                *tau = ((1.0 - rho) * *tau + rho * delta).clamp(tau_min, tau_max);
             }
             row.rescore();
         }
@@ -226,9 +264,10 @@ impl PheromoneTable {
     /// interval elapses with no completions.
     pub fn evaporate(&mut self, rho: f64) {
         assert!(rho > 0.0 && rho <= 1.0, "rho must be in (0, 1]");
-        for row in self.rows.values_mut() {
+        let tau_min = self.tau_min;
+        for (_, row) in self.tracked_mut() {
             for tau in row.tau.iter_mut() {
-                *tau = ((1.0 - rho) * *tau).max(self.tau_min);
+                *tau = ((1.0 - rho) * *tau).max(tau_min);
             }
             row.rescore();
         }
@@ -248,8 +287,9 @@ impl PheromoneTable {
         if m >= self.machines {
             return;
         }
-        for row in self.rows.values_mut() {
-            row.tau[m] = ((1.0 - rho) * row.tau[m]).max(self.tau_min);
+        let tau_min = self.tau_min;
+        for (_, row) in self.tracked_mut() {
+            row.tau[m] = ((1.0 - rho) * row.tau[m]).max(tau_min);
             row.rescore();
         }
     }

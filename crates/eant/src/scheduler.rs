@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::SimRng;
+use simcore::{SimRng, SimTime};
 
 use cluster::hdfs::Locality;
 use cluster::{MachineId, SlotKind};
@@ -10,7 +10,7 @@ use hadoop_sim::trace::{Observer, ObserverSet};
 use hadoop_sim::{ClusterQuery, DecisionCandidate, Scheduler, SimEvent, TaskReport};
 use workload::{JobId, JobSpec};
 
-use crate::heuristic::{weight_factor, weight_split};
+use crate::heuristic::{fairness_factor, locality_factor};
 use crate::{EAntConfig, EnergyModel, PheromoneTable, TaskAnalyzer, TaskEnergyRecord};
 
 /// E-Ant's adaptive task assigner (§III–§IV).
@@ -34,7 +34,13 @@ pub struct EAntScheduler {
     machine_profiles: Vec<String>,
     decisions: u64,
     intervals: u64,
-    policy_history: Vec<(simcore::SimTime, BTreeMap<JobId, Vec<f64>>)>,
+    scratch: DecisionScratch,
+    /// The previous control interval's policy: each then-active job's Eq. 3
+    /// probability vector over machines.
+    prev_policy: BTreeMap<JobId, Vec<f64>>,
+    /// Per job, `(interval time, overlap)` for every control interval at
+    /// which the job was active in both that and the previous snapshot.
+    policy_overlaps: BTreeMap<JobId, Vec<(SimTime, f64)>>,
     /// Policy-level event stream: [`SimEvent::PheromoneUpdated`] per job
     /// per control interval and [`SimEvent::EnergyModelRefit`] when a
     /// profile's Eq. 2 model is identified. Empty unless a trace observer
@@ -60,7 +66,9 @@ impl EAntScheduler {
             machine_profiles: Vec::new(),
             decisions: 0,
             intervals: 0,
-            policy_history: Vec::new(),
+            scratch: DecisionScratch::default(),
+            prev_policy: BTreeMap::new(),
+            policy_overlaps: BTreeMap::new(),
             trace: ObserverSet::new(),
         }
     }
@@ -81,31 +89,18 @@ impl EAntScheduler {
         self.decisions
     }
 
-    /// Per-control-interval snapshots of each active job's assignment
-    /// policy (its Eq. 3 probability vector over machines), in time order.
-    ///
-    /// The Fig. 11 convergence analysis detects a *stable* policy on these
-    /// snapshots: consecutive vectors whose distributional overlap
-    /// (`Σ_m min(p_m, q_m)`) reaches the paper's 80 % criterion.
-    pub fn policy_history(&self) -> &[(simcore::SimTime, BTreeMap<JobId, Vec<f64>>)] {
-        &self.policy_history
-    }
-
     /// Minutes (from time zero) until `job`'s policy first became stable at
     /// the given overlap threshold, or `None` if it never did.
+    ///
+    /// The Fig. 11 convergence analysis calls a policy *stable* once two
+    /// consecutive control intervals' Eq. 3 probability vectors overlap
+    /// (`Σ_m min(p_m, q_m)`) by at least the paper's 80 % criterion.
     pub fn policy_convergence_minutes(&self, job: JobId, threshold: f64) -> Option<f64> {
-        for pair in self.policy_history.windows(2) {
-            let (_, ref prev) = pair[0];
-            let (at, ref cur) = pair[1];
-            let (Some(p), Some(q)) = (prev.get(&job), cur.get(&job)) else {
-                continue;
-            };
-            let overlap: f64 = p.iter().zip(q).map(|(a, b)| a.min(*b)).sum();
-            if overlap >= threshold {
-                return Some(at.as_mins_f64());
-            }
-        }
-        None
+        self.policy_overlaps
+            .get(&job)?
+            .iter()
+            .find(|&&(_, overlap)| overlap >= threshold)
+            .map(|(at, _)| at.as_mins_f64())
     }
 
     /// Lazily learns the cluster layout from the first callback — the
@@ -145,35 +140,97 @@ impl EAntScheduler {
     }
 }
 
+/// A candidate weighed by one Eq. 8 decision, with the decomposition the
+/// traced path reports.
+#[derive(Debug, Clone, Copy)]
+struct Weighed {
+    job: JobId,
+    local: bool,
+    /// The job's Eq. 3 policy entry for the offered machine.
+    tau: f64,
+    /// η^β, see [`fairness_factor`].
+    fairness: f64,
+    /// The node-local boost, see [`locality_factor`].
+    locality: f64,
+}
+
+/// The buffers one Eq. 8 decision fills. The scheduler owns them and reuses
+/// them across decisions, so a decision allocates nothing once they are
+/// warm.
+#[derive(Debug, Default)]
+struct DecisionScratch {
+    /// The candidates that survive the share cap, in ascending job order.
+    weighed: Vec<Weighed>,
+    /// `weights[i]` is `weighed[i]`'s Eq. 8 weight `τ · η^β · boost`: the
+    /// slice the draw reads.
+    weights: Vec<f64>,
+    /// η^β indexed by occupancy, as `(epoch, value)`. An entry is valid only
+    /// while its epoch is the current decision's: within one decision the
+    /// fair share, the pool and β are fixed, so η^β depends on the job only
+    /// through its occupancy.
+    fairness_memo: Vec<(u64, f64)>,
+    epoch: u64,
+}
+
+impl DecisionScratch {
+    /// Empties the buffers and opens a new memo epoch covering occupancies
+    /// `0..=pool`.
+    fn begin(&mut self, pool: usize) {
+        self.weighed.clear();
+        self.weights.clear();
+        self.epoch += 1;
+        if self.fairness_memo.len() <= pool {
+            self.fairness_memo.resize(pool + 1, (0, 0.0));
+        }
+    }
+
+    /// [`fairness_factor`], memoised for this decision's epoch; occupancies
+    /// past the memo range are computed directly.
+    fn fairness(&mut self, min_share: f64, occupied: u32, pool: usize, beta: f64) -> f64 {
+        let epoch = self.epoch;
+        match self.fairness_memo.get_mut(occupied as usize) {
+            Some(entry) if entry.0 == epoch => entry.1,
+            Some(entry) => {
+                *entry = (epoch, fairness_factor(min_share, occupied, pool, beta));
+                entry.1
+            }
+            None => fairness_factor(min_share, occupied, pool, beta),
+        }
+    }
+}
+
 impl EAntScheduler {
-    /// Records the current per-job policy vectors for convergence analysis
-    /// and emits one [`SimEvent::PheromoneUpdated`] per active job with its
-    /// policy overlap against the previous interval — the live view of the
-    /// §VI-C stability criterion.
+    /// Records each active job's policy overlap against the previous
+    /// control interval for convergence analysis and emits one
+    /// [`SimEvent::PheromoneUpdated`] per active job carrying it — the live
+    /// view of the §VI-C stability criterion. Only the latest snapshot is
+    /// kept.
     fn snapshot_policy(&mut self, query: &dyn ClusterQuery) {
         let pheromones = self.pheromones.as_ref().expect("initialized");
+        let now = query.now();
         let snapshot: BTreeMap<JobId, Vec<f64>> = query
             .state()
             .active()
             .map(|j| (j.id, pheromones.probabilities(j.id)))
             .collect();
-        if !self.trace.is_empty() {
-            let prev = self.policy_history.last().map(|(_, p)| p);
-            for (job, row) in &snapshot {
-                let overlap = prev.and_then(|p| p.get(job)).map(|prev_row| {
-                    prev_row
-                        .iter()
-                        .zip(row)
-                        .map(|(a, b)| a.min(*b))
-                        .sum::<f64>()
-                });
-                self.trace.notify(
-                    query.now(),
-                    &SimEvent::PheromoneUpdated { job: *job, overlap },
-                );
+        for (job, row) in &snapshot {
+            let overlap = self.prev_policy.get(job).map(|prev_row| {
+                prev_row
+                    .iter()
+                    .zip(row)
+                    .map(|(a, b)| a.min(*b))
+                    .sum::<f64>()
+            });
+            if let Some(overlap) = overlap {
+                self.policy_overlaps
+                    .entry(*job)
+                    .or_default()
+                    .push((now, overlap));
             }
+            self.trace
+                .emit(now, || SimEvent::PheromoneUpdated { job: *job, overlap });
         }
-        self.policy_history.push((query.now(), snapshot));
+        self.prev_policy = snapshot;
     }
 
     /// The Eq. 8 decision core shared by the plain and traced selection
@@ -182,8 +239,8 @@ impl EAntScheduler {
     ///
     /// With `explain` set, returns each weighed candidate's decomposition —
     /// pheromone τ (the job's Eq. 3 policy entry for this machine), the η
-    /// fairness/locality split (see [`crate::heuristic::weight_split`]) and
-    /// the final normalized probability.
+    /// fairness/locality split (see [`fairness_factor`] and
+    /// [`locality_factor`]) and the final normalized probability.
     fn decide(
         &mut self,
         query: &dyn ClusterQuery,
@@ -193,14 +250,8 @@ impl EAntScheduler {
     ) -> (Option<JobId>, Vec<DecisionCandidate>) {
         self.ensure_initialized(query);
         let state = query.state();
-        let candidates: Vec<_> = state.candidates(kind).collect();
-        if candidates.is_empty() {
-            return (None, Vec::new());
-        }
         let pheromones = self.pheromones.as_mut().expect("initialized");
-        for c in &candidates {
-            pheromones.ensure_job(c.id);
-        }
+        let (beta, local_boost) = (self.config.beta, self.config.local_boost);
 
         // Fair share: equal split of the pool among active jobs
         // (Σ_j S_min = S_pool, single-user system as in §IV-C.4).
@@ -211,18 +262,14 @@ impl EAntScheduler {
         // already holding its β-scaled multiple of the fair share steps
         // aside whenever a below-cap job also wants the slot. Without this
         // bound the probabilistic assignment can drift into heavy-tailed
-        // job service and erratic makespans.
+        // job service and erratic makespans. If every candidate is over
+        // the cap, they all compete.
         let cap = (self.config.effective_share_cap() * min_share).ceil();
-        let under_cap: Vec<_> = candidates
-            .iter()
-            .filter(|c| (c.slots_occupied as f64) < cap)
-            .copied()
-            .collect();
-        let candidates = if under_cap.is_empty() {
-            candidates
-        } else {
-            under_cap
-        };
+        let mut any_under_cap = false;
+        for c in state.candidates(kind) {
+            pheromones.ensure_job(c.id);
+            any_under_cap |= (c.slots_occupied as f64) < cap;
+        }
 
         // Eq. 3 normalizes pheromone over machines *within each job's
         // row*: P(j, m) = τ(j, m) / Σ_m' τ(j, m'). A slot offer therefore
@@ -230,61 +277,54 @@ impl EAntScheduler {
         // this machine — never by the raw cross-job deposit magnitude,
         // which scales with completion counts and would let short jobs
         // starve long ones outright.
-        let mut parts = Vec::with_capacity(if explain { candidates.len() } else { 0 });
-        let weights: Vec<f64> = candidates
-            .iter()
-            .map(|c| {
-                let p_row = pheromones.probability(c.id, machine);
-                let local = kind == SlotKind::Map
-                    && query.best_map_locality(c.id, machine) == Some(Locality::NodeLocal);
-                let eta = weight_factor(
-                    local,
-                    min_share,
-                    c.slots_occupied,
-                    pool,
-                    self.config.beta,
-                    self.config.local_boost,
-                );
-                if explain {
-                    parts.push((p_row, local, c.slots_occupied));
-                }
-                p_row * eta
-            })
-            .collect();
+        let scratch = &mut self.scratch;
+        scratch.begin(pool);
+        for c in state.candidates(kind) {
+            if any_under_cap && (c.slots_occupied as f64) >= cap {
+                continue;
+            }
+            let tau = pheromones.probability(c.id, machine);
+            let local = kind == SlotKind::Map
+                && query.best_map_locality(c.id, machine) == Some(Locality::NodeLocal);
+            let fairness = scratch.fairness(min_share, c.slots_occupied, pool, beta);
+            let locality = locality_factor(local, beta, local_boost);
+            scratch.weighed.push(Weighed {
+                job: c.id,
+                local,
+                tau,
+                fairness,
+                locality,
+            });
+            scratch.weights.push(tau * (fairness * locality));
+        }
 
-        let pick = self.rng.weighted_index(&weights);
+        let pick = self.rng.weighted_index(&scratch.weights);
         if pick.is_some() {
             self.decisions += 1;
         }
-        let chosen = pick.map(|i| candidates[i].id);
+        let chosen = pick.map(|i| scratch.weighed[i].job);
 
         let explained = if explain {
-            let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
-            candidates
+            let total: f64 = scratch
+                .weights
                 .iter()
-                .zip(weights.iter().zip(&parts))
-                .map(|(c, (&w, &(tau, local, occupied)))| {
-                    let (eta_fairness, eta_locality) = weight_split(
-                        local,
-                        min_share,
-                        occupied,
-                        pool,
-                        self.config.beta,
-                        self.config.local_boost,
-                    );
-                    let probability = if total > 0.0 && w.is_finite() && w > 0.0 {
+                .filter(|w| w.is_finite() && **w > 0.0)
+                .sum();
+            scratch
+                .weighed
+                .iter()
+                .zip(&scratch.weights)
+                .map(|(c, &w)| DecisionCandidate {
+                    job: c.job,
+                    local: c.local,
+                    tau: Some(c.tau),
+                    eta_fairness: Some(c.fairness),
+                    eta_locality: Some(c.locality),
+                    probability: if total > 0.0 && w.is_finite() && w > 0.0 {
                         w / total
                     } else {
                         0.0
-                    };
-                    DecisionCandidate {
-                        job: c.id,
-                        local,
-                        tau: Some(tau),
-                        eta_fairness: Some(eta_fairness),
-                        eta_locality: Some(eta_locality),
-                        probability,
-                    }
+                    },
                 })
                 .collect()
         } else {
@@ -410,94 +450,20 @@ impl Scheduler for EAntScheduler {
 mod tests {
     use super::*;
     use cluster::Fleet;
-    use hadoop_sim::{ClusterQuery, ClusterState, Engine, EngineConfig, JobEntry, NoiseConfig};
+    use hadoop_sim::{Engine, EngineConfig, FixedQuery, NoiseConfig};
     use simcore::{SimDuration, SimTime};
     use workload::Benchmark;
 
-    /// A hand-rolled ClusterQuery for deterministic selection tests.
-    struct MockQuery {
-        fleet: Fleet,
-        state: ClusterState,
-        local: Vec<(JobId, MachineId)>,
-        dead: Vec<MachineId>,
-    }
-
-    impl MockQuery {
-        fn new(jobs: Vec<JobEntry>) -> Self {
-            let mut state = ClusterState::new();
-            for entry in jobs {
-                state.intern_group(&format!("g{}", entry.id));
-                state.insert(entry);
-            }
-            MockQuery {
-                fleet: Fleet::paper_evaluation(),
-                state,
-                local: Vec::new(),
-                dead: Vec::new(),
-            }
-        }
-
-        fn entry(id: u64, pending_maps: u32, slots_occupied: u32) -> JobEntry {
-            JobEntry {
-                id: JobId(id),
-                group: workload::GroupId(id as u32),
-                pending_maps,
-                pending_reduces: 0,
-                slots_occupied,
-                completed_tasks: 0,
-                total_tasks: pending_maps + slots_occupied,
-                submitted_at: SimTime::ZERO,
-                submitted: true,
-                finished: false,
-            }
-        }
-    }
-
-    impl ClusterQuery for MockQuery {
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn fleet(&self) -> &Fleet {
-            &self.fleet
-        }
-        fn state(&self) -> &ClusterState {
-            &self.state
-        }
-        fn job_spec(&self, _job: JobId) -> Option<&JobSpec> {
-            None
-        }
-        fn best_map_locality(
-            &self,
-            job: JobId,
-            machine: MachineId,
-        ) -> Option<cluster::hdfs::Locality> {
-            if self.local.contains(&(job, machine)) {
-                Some(cluster::hdfs::Locality::NodeLocal)
-            } else {
-                Some(cluster::hdfs::Locality::Remote)
-            }
-        }
-        fn total_slots(&self) -> usize {
-            96
-        }
-        fn network_congestion(&self) -> f64 {
-            0.0
-        }
-        fn is_machine_dead(&self, machine: MachineId) -> bool {
-            self.dead.contains(&machine)
-        }
-    }
-
     #[test]
     fn select_returns_none_without_candidates() {
-        let query = MockQuery::new(vec![MockQuery::entry(0, 0, 3)]);
+        let query = FixedQuery::paper(vec![FixedQuery::entry(0, 0, 3)]);
         let mut s = EAntScheduler::new(EAntConfig::paper_default(), 1);
         assert_eq!(s.select_job(&query, MachineId(0), SlotKind::Map), None);
     }
 
     #[test]
     fn select_returns_the_only_candidate() {
-        let query = MockQuery::new(vec![MockQuery::entry(0, 0, 3), MockQuery::entry(1, 5, 0)]);
+        let query = FixedQuery::paper(vec![FixedQuery::entry(0, 0, 3), FixedQuery::entry(1, 5, 0)]);
         let mut s = EAntScheduler::new(EAntConfig::paper_default(), 1);
         for _ in 0..20 {
             assert_eq!(
@@ -509,8 +475,9 @@ mod tests {
 
     #[test]
     fn local_data_dominates_selection() {
-        let mut query = MockQuery::new(vec![MockQuery::entry(0, 5, 1), MockQuery::entry(1, 5, 1)]);
-        query.local.push((JobId(1), MachineId(2)));
+        let mut query =
+            FixedQuery::paper(vec![FixedQuery::entry(0, 5, 1), FixedQuery::entry(1, 5, 1)]);
+        query.node_local.insert((JobId(1), MachineId(2)));
         let mut s = EAntScheduler::new(EAntConfig::paper_default(), 3);
         let mut picks_local = 0;
         for _ in 0..100 {
@@ -526,11 +493,11 @@ mod tests {
     fn share_cap_excludes_hogs_when_others_wait() {
         // Twenty active jobs → fair share 4.8 slots, β-scaled cap ≈ 14.4.
         // Job 0 hogs 90 slots; only jobs 0 and 1 have pending maps.
-        let mut jobs = vec![MockQuery::entry(0, 5, 90), MockQuery::entry(1, 5, 0)];
+        let mut jobs = vec![FixedQuery::entry(0, 5, 90), FixedQuery::entry(1, 5, 0)];
         for id in 2..20 {
-            jobs.push(MockQuery::entry(id, 0, 0));
+            jobs.push(FixedQuery::entry(id, 0, 0));
         }
-        let query = MockQuery::new(jobs);
+        let query = FixedQuery::paper(jobs);
         let mut s = EAntScheduler::new(EAntConfig::paper_default(), 5);
         for _ in 0..50 {
             assert_eq!(
@@ -544,11 +511,11 @@ mod tests {
     #[test]
     fn capped_job_still_runs_when_alone() {
         // Same hog, but no competitor has pending work: it still runs.
-        let mut jobs = vec![MockQuery::entry(0, 5, 90)];
+        let mut jobs = vec![FixedQuery::entry(0, 5, 90)];
         for id in 1..20 {
-            jobs.push(MockQuery::entry(id, 0, 0));
+            jobs.push(FixedQuery::entry(id, 0, 0));
         }
-        let query = MockQuery::new(jobs);
+        let query = FixedQuery::paper(jobs);
         let mut s = EAntScheduler::new(EAntConfig::paper_default(), 5);
         assert_eq!(
             s.select_job(&query, MachineId(0), SlotKind::Map),
@@ -561,7 +528,7 @@ mod tests {
         use hadoop_sim::UtilizationSample;
         use workload::{TaskId, TaskIndex};
 
-        let mut query = MockQuery::new(vec![MockQuery::entry(0, 5, 1)]);
+        let mut query = FixedQuery::paper(vec![FixedQuery::entry(0, 5, 1)]);
         let mut s = EAntScheduler::new(EAntConfig::paper_default(), 9);
         let report = |machine: usize, index: u32| TaskReport {
             task: TaskId {

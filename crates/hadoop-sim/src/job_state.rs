@@ -27,12 +27,14 @@ pub(crate) struct JobState {
     pub blocks: Vec<Block>,
     pending_maps: Vec<u32>,
     pending_reduces: VecDeque<u32>,
-    /// Pending map blocks with a replica on each machine (machine index →
-    /// block count, entries removed at zero). With its rack-level sibling
-    /// this makes [`JobState::best_map_locality`] two map probes instead of
+    /// Pending map blocks with a replica on each machine, indexed by
+    /// machine. With its rack-level sibling this makes
+    /// [`JobState::best_map_locality`] an index and a map probe instead of
     /// a scan over every pending block — the dominant per-offer cost on
-    /// large fleets.
-    node_replicas: BTreeMap<usize, u32>,
+    /// large fleets. Dense (4 bytes per machine per job) so the node-local
+    /// test E-Ant makes for every candidate at every map offer is one index
+    /// rather than a tree search.
+    node_replicas: Vec<u32>,
     /// Pending map blocks with a replica in each rack (rack index → block
     /// count, racks deduplicated per block).
     rack_replicas: BTreeMap<usize, u32>,
@@ -54,7 +56,7 @@ impl JobState {
             blocks,
             pending_maps,
             pending_reduces,
-            node_replicas: BTreeMap::new(),
+            node_replicas: vec![0; fleet.len()],
             rack_replicas: BTreeMap::new(),
             finished: BTreeSet::new(),
             running_tasks: 0,
@@ -88,7 +90,12 @@ impl JobState {
         for (i, &replica) in block.replicas.iter().enumerate() {
             let prior = &block.replicas[..i];
             if !prior.contains(&replica) {
-                bump(&mut self.node_replicas, replica.index());
+                let count = &mut self.node_replicas[replica.index()];
+                *count = if add {
+                    *count + 1
+                } else {
+                    count.checked_sub(1).expect("tracked replica count")
+                };
             }
             if let Ok(rack) = fleet.rack_of(replica) {
                 if !prior
@@ -141,7 +148,7 @@ impl JobState {
     }
 
     /// The best locality any pending map task would have on `machine` —
-    /// two replica-count probes instead of a pending-queue scan. The class
+    /// replica-count lookups instead of a pending-queue scan. The class
     /// is exactly the scan's fold: NodeLocal beats RackLocal beats Remote,
     /// and [`locality`] assigns NodeLocal iff a replica lives on `machine`
     /// and RackLocal iff one shares its rack.
@@ -155,7 +162,11 @@ impl JobState {
     /// The locality class the replica counts prove for `machine`, assuming
     /// pending maps exist.
     fn best_locality_class(&self, fleet: &Fleet, machine: MachineId) -> Locality {
-        if self.node_replicas.contains_key(&machine.index()) {
+        if self
+            .node_replicas
+            .get(machine.index())
+            .is_some_and(|&n| n > 0)
+        {
             return Locality::NodeLocal;
         }
         if let Ok(rack) = fleet.rack_of(machine) {

@@ -73,7 +73,7 @@ pub use engine::Engine;
 pub use job_state::JobPhase;
 pub use report::{TaskReport, UtilizationSample};
 pub use result::{IntervalSnapshot, JobOutcome, MachineOutcome, RunResult, ServiceStats};
-pub use scheduler::{generic_candidates, ClusterQuery, GreedyScheduler, Scheduler};
+pub use scheduler::{generic_candidates, ClusterQuery, FixedQuery, GreedyScheduler, Scheduler};
 pub use task_arena::{TaskArena, TaskSlot, MAX_ATTEMPTS};
 pub use trace::{DecisionCandidate, PowerState, SimEvent};
 pub use watchdog::{SloBreach, SloConfig, SloStats, SloWatchdog};

@@ -1,13 +1,15 @@
 //! The scheduler plug-in interface.
 
+use std::collections::BTreeSet;
+
 use simcore::SimTime;
 
 use cluster::hdfs::Locality;
 use cluster::{Fleet, MachineId, SlotKind};
-use workload::{JobId, JobSpec};
+use workload::{GroupId, JobId, JobSpec};
 
 use crate::trace::DecisionCandidate;
-use crate::{ClusterState, TaskReport};
+use crate::{ClusterState, JobEntry, TaskReport};
 
 /// Read-only view of cluster state offered to schedulers at every decision
 /// point. Implemented by the engine.
@@ -63,6 +65,85 @@ pub trait ClusterQuery {
     /// queries.
     fn task_failures_on(&self, _machine: MachineId) -> u32 {
         0
+    }
+}
+
+/// A [`ClusterQuery`] over a cluster view that stays as it was built, for
+/// driving a scheduler's decisions outside the engine in tests and
+/// benches. A pending map is node-local exactly on the `(job, machine)`
+/// pairs in `node_local` and remote elsewhere.
+#[derive(Debug, Clone)]
+pub struct FixedQuery {
+    /// The fleet.
+    pub fleet: Fleet,
+    /// The scoreboard.
+    pub state: ClusterState,
+    /// Node-local `(job, machine)` pairs.
+    pub node_local: BTreeSet<(JobId, MachineId)>,
+    /// Machines reported dead.
+    pub dead: Vec<MachineId>,
+}
+
+impl FixedQuery {
+    /// The paper's 16-node fleet with `jobs` inserted in order (their ids
+    /// must be dense from 0), nothing node-local and nothing dead.
+    pub fn paper(jobs: impl IntoIterator<Item = JobEntry>) -> Self {
+        let mut state = ClusterState::new();
+        jobs.into_iter().for_each(|job| state.insert(job));
+        FixedQuery {
+            fleet: Fleet::paper_evaluation(),
+            state,
+            node_local: BTreeSet::new(),
+            dead: Vec::new(),
+        }
+    }
+
+    /// A submitted, unfinished job with only pending maps and running
+    /// tasks.
+    pub fn entry(id: u64, pending_maps: u32, slots_occupied: u32) -> JobEntry {
+        JobEntry {
+            id: JobId(id),
+            group: GroupId(0),
+            pending_maps,
+            pending_reduces: 0,
+            slots_occupied,
+            completed_tasks: 0,
+            total_tasks: pending_maps + slots_occupied,
+            submitted_at: SimTime::ZERO,
+            submitted: true,
+            finished: false,
+        }
+    }
+}
+
+impl ClusterQuery for FixedQuery {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn fleet(&self) -> &Fleet {
+        &self.fleet
+    }
+    fn state(&self) -> &ClusterState {
+        &self.state
+    }
+    fn job_spec(&self, _job: JobId) -> Option<&JobSpec> {
+        None
+    }
+    fn best_map_locality(&self, job: JobId, machine: MachineId) -> Option<Locality> {
+        if self.node_local.contains(&(job, machine)) {
+            Some(Locality::NodeLocal)
+        } else {
+            Some(Locality::Remote)
+        }
+    }
+    fn total_slots(&self) -> usize {
+        self.fleet.total_slots()
+    }
+    fn network_congestion(&self) -> f64 {
+        0.0
+    }
+    fn is_machine_dead(&self, machine: MachineId) -> bool {
+        self.dead.contains(&machine)
     }
 }
 

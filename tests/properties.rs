@@ -11,15 +11,17 @@
 use std::collections::BTreeMap;
 
 use cluster::hdfs::BlockPlacer;
-use cluster::{profiles, Fleet, MachineId};
+use cluster::{profiles, Fleet, MachineId, SlotKind};
 use eant::{
-    heuristic, EnergyModel, ExchangeStrategy, PheromoneTable, TaskAnalyzer, TaskEnergyRecord,
+    heuristic, EAntConfig, EAntScheduler, EnergyModel, ExchangeStrategy, PheromoneTable,
+    TaskAnalyzer, TaskEnergyRecord,
 };
 use hadoop_sim::{
-    Engine, EngineConfig, GreedyScheduler, NoiseConfig, PowerDownConfig, SpeculationPolicy,
+    Engine, EngineConfig, FixedQuery, GreedyScheduler, JobEntry, NoiseConfig, PowerDownConfig,
+    Scheduler, SpeculationPolicy, TaskReport, UtilizationSample,
 };
 use simcore::{EventQueue, SimRng, SimTime};
-use workload::{Benchmark, BenchmarkKind, GroupId, JobId, JobSpec};
+use workload::{Benchmark, BenchmarkKind, GroupId, JobId, JobSpec, TaskId, TaskIndex};
 
 /// Root seed of every property's case tree. Changing it reshuffles all
 /// generated inputs at once.
@@ -86,6 +88,242 @@ fn pheromone_probabilities_sum_to_one() {
         assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
         assert!(p.iter().all(|&x| x > 0.0));
     });
+}
+
+/// The dense, index-addressed [`PheromoneTable`] answers every query
+/// bit-for-bit like the `BTreeMap`-keyed table it replaced, under random
+/// sequences of row creation, release, deposits and (per-machine)
+/// evaporation.
+#[test]
+fn dense_pheromone_table_matches_map_oracle() {
+    const TAU: (f64, f64, f64) = (1.0, 0.05, 100.0);
+    check("dense_pheromone_table_matches_map_oracle", 128, |rng| {
+        let machines = rng.uniform_u64(1, 6) as usize;
+        let ids = rng.uniform_u64(1, 12);
+        let mut table = PheromoneTable::new(machines, TAU.0, TAU.1, TAU.2);
+        // The oracle: rows keyed by job, each Eq. 3 query re-summing its row.
+        let mut oracle: BTreeMap<JobId, Vec<f64>> = BTreeMap::new();
+        for _ in 0..rng.uniform_u64(1, 60) {
+            let job = JobId(rng.uniform_u64(0, ids - 1));
+            let rho = rng.uniform_range(0.01, 1.0);
+            match rng.uniform_u64(0, 4) {
+                0 => {
+                    table.ensure_job(job);
+                    oracle.entry(job).or_insert_with(|| vec![TAU.0; machines]);
+                }
+                1 => {
+                    table.remove_job(job);
+                    oracle.remove(&job);
+                }
+                2 => {
+                    let deposits: BTreeMap<JobId, Vec<f64>> = (0..rng.uniform_u64(0, 3))
+                        .map(|_| {
+                            let j = JobId(rng.uniform_u64(0, ids - 1));
+                            (j, f64_vec(rng, machines, -50.0, 200.0))
+                        })
+                        .collect();
+                    let negative = rng.chance(0.5);
+                    table.apply_deposits(&deposits, rho, negative);
+                    for &j in deposits.keys() {
+                        oracle.entry(j).or_insert_with(|| vec![TAU.0; machines]);
+                    }
+                    let mut totals = vec![0.0; machines];
+                    let mut depositors = vec![0u32; machines];
+                    for d in deposits.values().filter(|_| negative) {
+                        for (m, &v) in d.iter().enumerate() {
+                            totals[m] += v;
+                            depositors[m] += u32::from(v > 0.0);
+                        }
+                    }
+                    let zero = vec![0.0; machines];
+                    for (j, row) in &mut oracle {
+                        let own = deposits.get(j).unwrap_or(&zero);
+                        for (m, tau) in row.iter_mut().enumerate() {
+                            let others = depositors[m].saturating_sub(u32::from(own[m] > 0.0));
+                            let foreign = if others > 0 {
+                                (totals[m] - own[m]) / others as f64
+                            } else {
+                                0.0
+                            };
+                            *tau =
+                                ((1.0 - rho) * *tau + rho * (own[m] - foreign)).clamp(TAU.1, TAU.2);
+                        }
+                    }
+                }
+                3 => {
+                    table.evaporate(rho);
+                    for tau in oracle.values_mut().flatten() {
+                        *tau = ((1.0 - rho) * *tau).max(TAU.1);
+                    }
+                }
+                _ => {
+                    // Up to one past the last machine: out of range is a no-op.
+                    let m = rng.uniform_u64(0, machines as u64) as usize;
+                    table.evaporate_machine(MachineId(m), rho);
+                    for tau in oracle.values_mut().filter_map(|row| row.get_mut(m)) {
+                        *tau = ((1.0 - rho) * *tau).max(TAU.1);
+                    }
+                }
+            }
+            assert_eq!(table.jobs(), oracle.len());
+            for job in (0..=ids).map(JobId) {
+                let row = oracle.get(&job);
+                assert_eq!(table.row(job), row.map(Vec::as_slice));
+                let probabilities = table.probabilities(job);
+                assert_eq!(probabilities.len(), machines);
+                for (m, p) in probabilities.into_iter().enumerate() {
+                    let want = row.map_or(1.0 / machines as f64, |r| r[m] / r.iter().sum::<f64>());
+                    assert_eq!(p.to_bits(), want.to_bits(), "{job} m{m}: {p} vs {want}");
+                    assert_eq!(
+                        table.probability(job, MachineId(m)).to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+        // Equality sees the live rows only, not which ids once held one.
+        let mut rebuilt = PheromoneTable::new(machines, TAU.0, TAU.1, TAU.2);
+        oracle.keys().for_each(|&j| rebuilt.ensure_job(j));
+        table.evaporate(1.0);
+        rebuilt.evaporate(1.0);
+        assert_eq!(table, rebuilt);
+    });
+}
+
+/// E-Ant's decision core weighs every candidate bit-for-bit like the
+/// per-candidate Eq. 8 formula it replaced (`P(j, m) · weight_factor` after
+/// the share cap, or over everyone when all are over the cap) and draws the
+/// same job from the same RNG state, traced or not. Cases cover β = 0,
+/// all candidates over the cap, occupancies past the pool (the η^β memo's
+/// range), node-local mixes, reduce slots and deposit-shaped pheromone rows.
+#[test]
+fn eant_decision_weights_match_reference_formula() {
+    let (fallbacks, past_pool) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    check("eant_decision_weights_match_reference_formula", 96, |rng| {
+        let fleet = Fleet::paper_evaluation();
+        let pool = fleet.total_slots();
+        let config = EAntConfig {
+            beta: if rng.chance(0.25) {
+                0.0
+            } else {
+                rng.uniform_range(0.05, 0.6)
+            },
+            local_boost: rng.uniform_range(1.0, 2000.0),
+            ..EAntConfig::paper_default()
+        };
+        let seed = rng.next_u64();
+        let mut scheduler = EAntScheduler::new(config, seed);
+        let mut reference = SimRng::seed_from(seed).fork("eant");
+        let jobs = rng.uniform_u64(1, 30);
+        for step in 0..rng.uniform_u64(1, 12) {
+            // Occupancies move every step; a `huge` step puts every job far
+            // past the pool and any share cap.
+            let huge = if rng.chance(0.2) { 40 * pool as u32 } else { 0 };
+            let mut query = FixedQuery::paper((0..jobs).map(|id| {
+                let occupied = huge + rng.uniform_u64(0, 2 * pool as u64) as u32;
+                let pending_maps = rng.uniform_u64(0, 3) as u32;
+                let pending_reduces = rng.uniform_u64(0, 2) as u32;
+                JobEntry {
+                    group: GroupId(id as u32),
+                    pending_reduces,
+                    total_tasks: pending_maps + pending_reduces + occupied,
+                    submitted: rng.chance(0.9),
+                    ..FixedQuery::entry(id, pending_maps, occupied)
+                }
+            }));
+            for job in (0..jobs).map(JobId) {
+                let local = fleet.ids().filter(|_| rng.chance(0.1));
+                query.node_local.extend(local.map(|m| (job, m)));
+            }
+            if step % 3 == 2 {
+                // One interval of energy feedback shapes the pheromone rows.
+                for (index, machine) in fleet.ids().enumerate() {
+                    let job = JobId(rng.uniform_u64(0, jobs - 1));
+                    let secs = rng.uniform_u64(5, 60);
+                    let kind = SlotKind::Map;
+                    let report = TaskReport {
+                        task: TaskId {
+                            job,
+                            task: TaskIndex {
+                                kind,
+                                index: index as u32,
+                            },
+                        },
+                        machine,
+                        kind,
+                        group: query.state.job(job).group,
+                        started_at: SimTime::ZERO,
+                        finished_at: SimTime::from_secs(secs),
+                        locality: None,
+                        samples: vec![UtilizationSample {
+                            dt_secs: secs as f64,
+                            utilization: rng.uniform_range(0.05, 1.0),
+                        }],
+                        shuffle_secs: 0.0,
+                        true_energy_joules: 0.0,
+                        straggled: false,
+                        speculative: false,
+                    };
+                    scheduler.on_task_completed(&query, &report);
+                }
+                scheduler.on_control_interval(&query);
+            }
+            for _ in 0..rng.uniform_u64(1, 6) {
+                let machine = MachineId(rng.uniform_u64(0, fleet.len() as u64 - 1) as usize);
+                let kind = [SlotKind::Map, SlotKind::Reduce][usize::from(rng.chance(0.3))];
+                // The pre-rewrite decision, transcribed per candidate.
+                let state = &query.state;
+                let min_share = pool as f64 / state.num_active().max(1) as f64;
+                let cap = (config.effective_share_cap() * min_share).ceil();
+                let all: Vec<&JobEntry> = state.candidates(kind).collect();
+                let under: Vec<&JobEntry> = (all.iter().copied())
+                    .filter(|c| (c.slots_occupied as f64) < cap)
+                    .collect();
+                fallbacks.set(fallbacks.get() + u32::from(under.is_empty() && !all.is_empty()));
+                let candidates = if under.is_empty() { all } else { under };
+                let past = candidates.iter().any(|c| c.slots_occupied as usize > pool);
+                past_pool.set(past_pool.get() + u32::from(past));
+                let weights: Vec<f64> = (candidates.iter())
+                    .map(|c| {
+                        let p_row = (scheduler.pheromone_table())
+                            .map_or(1.0 / fleet.len() as f64, |t| t.probability(c.id, machine));
+                        let local =
+                            kind == SlotKind::Map && query.node_local.contains(&(c.id, machine));
+                        let (beta, boost) = (config.beta, config.local_boost);
+                        let occupied = c.slots_occupied;
+                        p_row
+                            * heuristic::weight_factor(
+                                local, min_share, occupied, pool, beta, boost,
+                            )
+                    })
+                    .collect();
+                let want = reference.weighted_index(&weights).map(|i| candidates[i].id);
+                if rng.chance(0.5) {
+                    assert_eq!(scheduler.select_job(&query, machine, kind), want);
+                    continue;
+                }
+                let (got, explained) = scheduler.select_job_traced(&query, machine, kind);
+                assert_eq!(got, want, "traced pick");
+                assert_eq!(explained.len(), candidates.len());
+                let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+                for ((e, c), &w) in explained.iter().zip(&candidates).zip(&weights) {
+                    let eta = e.eta_fairness.unwrap() * e.eta_locality.unwrap();
+                    let rebuilt = e.tau.unwrap() * eta;
+                    assert_eq!(e.job, c.id);
+                    assert_eq!(rebuilt.to_bits(), w.to_bits(), "{}: {rebuilt} vs {w}", c.id);
+                    assert_eq!(e.probability.to_bits(), (w / total).to_bits());
+                }
+            }
+        }
+    });
+    assert!(
+        fallbacks.get() > 0,
+        "no case put every candidate over the cap"
+    );
+    assert!(
+        past_pool.get() > 0,
+        "no case weighed an occupancy past the pool"
+    );
 }
 
 /// Events always pop in nondecreasing time order.
