@@ -8,7 +8,7 @@
 use eant::{EAntConfig, ExchangeStrategy};
 use metrics::report::Table;
 
-use crate::common::{Scenario, SchedulerKind};
+use crate::common::{fig8_spec, SchedulerKind};
 
 const SEEDS: [u64; 8] = [2015, 7, 99, 42, 1234, 3, 17, 555];
 
@@ -17,17 +17,17 @@ struct Outcome {
     makespan_ratio: f64,
 }
 
-fn evaluate(cfg: EAntConfig) -> Outcome {
+fn evaluate(cfg: EAntConfig, seeds: &[u64]) -> Outcome {
     let mut fair_e = 0.0;
     let mut fair_m = 0.0;
     let mut eant_e = 0.0;
     let mut eant_m = 0.0;
-    for &seed in &SEEDS {
-        let scenario = Scenario::fast(seed);
-        let fair = scenario.run(&SchedulerKind::Fair);
+    let spec = fig8_spec();
+    for &seed in seeds {
+        let fair = spec.execute(&SchedulerKind::Fair, seed, true);
         fair_e += fair.total_energy_joules();
         fair_m += fair.makespan.as_secs_f64();
-        let eant = scenario.run(&SchedulerKind::EAnt(cfg));
+        let eant = spec.execute(&SchedulerKind::EAnt(cfg), seed, true);
         eant_e += eant.total_energy_joules();
         eant_m += eant.makespan.as_secs_f64();
     }
@@ -94,36 +94,21 @@ pub fn run(fast: bool) -> String {
         ),
     ];
 
+    // Fast mode halves the seed set for CI speed.
+    let seeds = if fast {
+        &SEEDS[..SEEDS.len() / 2]
+    } else {
+        &SEEDS[..]
+    };
     let mut t = Table::new(
         format!(
             "Ablation — E-Ant design choices ({} seeds vs Fair)",
-            if fast { SEEDS.len() / 2 } else { SEEDS.len() }
+            seeds.len()
         ),
         &["variant", "energy saving (%)", "makespan / Fair"],
     );
     for (name, cfg) in variants {
-        let outcome = if fast {
-            // Halve the seed set for CI speed.
-            let mut fair_e = 0.0;
-            let mut eant_e = 0.0;
-            let mut fair_m = 0.0;
-            let mut eant_m = 0.0;
-            for &seed in &SEEDS[..SEEDS.len() / 2] {
-                let scenario = Scenario::fast(seed);
-                let fair = scenario.run(&SchedulerKind::Fair);
-                fair_e += fair.total_energy_joules();
-                fair_m += fair.makespan.as_secs_f64();
-                let eant = scenario.run(&SchedulerKind::EAnt(cfg));
-                eant_e += eant.total_energy_joules();
-                eant_m += eant.makespan.as_secs_f64();
-            }
-            Outcome {
-                saving_pct: (fair_e - eant_e) / fair_e * 100.0,
-                makespan_ratio: eant_m / fair_m,
-            }
-        } else {
-            evaluate(cfg)
-        };
+        let outcome = evaluate(cfg, seeds);
         t.row(&[
             name.to_owned(),
             format!("{:+.1}", outcome.saving_pct),

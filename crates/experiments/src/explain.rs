@@ -33,6 +33,7 @@ use hadoop_sim::SimEvent;
 use metrics::emit::JsonValue;
 use metrics::registry::SeriesSnapshot;
 use metrics::trace::read_trace_lines;
+use simcore::stats::percentile_sorted;
 use simcore::SimTime;
 use workload::JobId;
 
@@ -274,15 +275,11 @@ fn group_table(a: &Analysis) -> String {
 /// the nearest-rank p99, at least three when available).
 fn tail_table(a: &Analysis) -> (String, Vec<JobId>) {
     let sojourns = a.sojourns();
-    if sojourns.is_empty() {
+    let Some((_, p99)) = percentile_sorted(&sojourns, 99) else {
         return (
             "critical paths: no complete job lifecycle in the event window\n".to_owned(),
             Vec::new(),
         );
-    }
-    let p99 = {
-        let rank = (99 * sojourns.len()).div_ceil(100).max(1);
-        sojourns[rank - 1].1
     };
     let mut tail: Vec<(JobId, f64)> = sojourns
         .iter()

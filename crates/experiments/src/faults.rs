@@ -17,7 +17,7 @@ use metrics::emit::{object, JsonValue};
 use metrics::report::Table;
 use simcore::SimDuration;
 
-use crate::common::{parallel_runs, Scenario, SchedulerKind};
+use crate::common::{fig8_spec, parallel_runs, SchedulerKind};
 
 /// The fault-rate grid, mildest to harshest.
 fn grid() -> Vec<(&'static str, FaultConfig)> {
@@ -62,9 +62,9 @@ fn schedulers() -> [SchedulerKind; 4] {
 }
 
 fn run_point(fast: bool, fault: &FaultConfig, kind: &SchedulerKind) -> RunResult {
-    let mut scenario = Scenario::sized(fast, 2015);
-    scenario.engine.fault = *fault;
-    scenario.run(kind)
+    let mut spec = fig8_spec().clone();
+    spec.engine.fault = *fault;
+    spec.execute(kind, 2015, fast)
 }
 
 fn json_row(fault: &str, r: &RunResult) -> JsonValue {

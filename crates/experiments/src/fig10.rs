@@ -11,15 +11,7 @@ use hadoop_sim::NoiseConfig;
 use metrics::report::render_series;
 use simcore::SimTime;
 
-use crate::common::{Scenario, SchedulerKind};
-
-/// The ablation runs with the paper-default system noise (§IV-D): enough
-/// stragglers and reading jitter to corrupt per-task energy evidence, which
-/// is the hazard the exchange strategies exist to average away.
-fn noisy(scenario: Scenario) -> Scenario {
-    debug_assert!(scenario.engine.noise == NoiseConfig::paper_default());
-    scenario
-}
+use crate::common::{fig8_spec, SchedulerKind};
 
 const STRATEGIES: [ExchangeStrategy; 4] = [
     ExchangeStrategy::None,
@@ -39,6 +31,11 @@ pub fn run(fast: bool) -> String {
     } else {
         &[1010, 7, 99, 2015, 42, 1234, 3, 17, 555, 808, 4096, 31]
     };
+    // The ablation runs with the paper-default system noise (§IV-D): enough
+    // stragglers and reading jitter to corrupt per-task energy evidence,
+    // which is the hazard the exchange strategies exist to average away.
+    let spec = fig8_spec();
+    debug_assert!(spec.engine.noise == NoiseConfig::paper_default());
     // Sample savings at fixed minutes so curves from different seeds align.
     let minutes: Vec<f64> = (1..=9).map(|i| i as f64 * 10.0).collect();
 
@@ -46,14 +43,13 @@ pub fn run(fast: bool) -> String {
     let mut finals = vec![0.0; STRATEGIES.len()];
 
     for &seed in seeds {
-        let scenario = noisy(Scenario::fast(seed));
-        let baseline = scenario.run(&SchedulerKind::Fifo);
+        let baseline = spec.execute(&SchedulerKind::Fifo, seed, true);
         for (si, strategy) in STRATEGIES.iter().enumerate() {
             let cfg = EAntConfig {
                 exchange: *strategy,
                 ..EAntConfig::paper_default()
             };
-            let run = scenario.run(&SchedulerKind::EAnt(cfg));
+            let run = spec.execute(&SchedulerKind::EAnt(cfg), seed, true);
             for (mi, &minute) in minutes.iter().enumerate() {
                 let at = SimTime::from_secs((minute * 60.0) as u64);
                 let base = baseline.energy_series.value_at(at).unwrap_or(0.0);
@@ -92,8 +88,8 @@ pub fn run(fast: bool) -> String {
     // a near-zero non-exchange saving cannot blow the denominator up.
     let mut fifo_total = 0.0;
     for &seed in seeds {
-        fifo_total += noisy(Scenario::fast(seed))
-            .run(&SchedulerKind::Fifo)
+        fifo_total += spec
+            .execute(&SchedulerKind::Fifo, seed, true)
             .total_energy_joules()
             / 1000.0
             / seeds.len() as f64;

@@ -6,13 +6,12 @@
 //! assignment stale.
 
 use eant::EAntConfig;
-use hadoop_sim::EngineConfig;
 use metrics::energy::kj;
 use metrics::fairness::{actual_completions, inverse_slowdown_variance, slowdowns};
 use metrics::report::Table;
 use simcore::SimDuration;
 
-use crate::common::{standalone_times, Scenario, SchedulerKind};
+use crate::common::{fig8_spec, standalone_times, SchedulerKind};
 
 /// Fig. 12(a): β sweep — energy saving vs default Hadoop and fairness
 /// (inverse variance of per-job slowdown, normalized per seed against the
@@ -33,11 +32,11 @@ pub fn fig12a(fast: bool) -> String {
     let betas = [0.0, 0.1, 0.2, 0.3, 0.4];
     let mut savings = vec![0.0; betas.len()];
     let mut fairnesses = vec![0.0; betas.len()];
+    let spec = fig8_spec();
     for &seed in seeds {
-        let scenario = Scenario::fast(seed);
-        let baseline = scenario.run(&SchedulerKind::Fifo);
-        let fair = scenario.run(&SchedulerKind::Fair);
-        let standalone = standalone_times(&scenario);
+        let baseline = spec.execute(&SchedulerKind::Fifo, seed, true);
+        let fair = spec.execute(&SchedulerKind::Fair, seed, true);
+        let standalone = standalone_times(spec, seed, true);
         let fair_fairness =
             inverse_slowdown_variance(&slowdowns(&actual_completions(&fair), &standalone))
                 .unwrap_or(1.0)
@@ -47,7 +46,7 @@ pub fn fig12a(fast: bool) -> String {
                 beta,
                 ..EAntConfig::paper_default()
             };
-            let run = scenario.run(&SchedulerKind::EAnt(cfg));
+            let run = spec.execute(&SchedulerKind::EAnt(cfg), seed, true);
             savings[i] +=
                 kj(baseline.total_energy_joules() - run.total_energy_joules()) / seeds.len() as f64;
             let slow = slowdowns(&actual_completions(&run), &standalone);
@@ -75,16 +74,16 @@ pub fn fig12b(fast: bool) -> String {
     };
     let intervals = [2u64, 3, 4, 5, 6, 7, 8];
     let mut savings = vec![0.0; intervals.len()];
+    let mut spec = fig8_spec().clone();
     for &seed in seeds {
-        let scenario = Scenario::fast(seed);
-        let baseline = scenario.run(&SchedulerKind::Fifo);
+        let baseline = fig8_spec().execute(&SchedulerKind::Fifo, seed, true);
         for (i, &mins) in intervals.iter().enumerate() {
-            let mut s = scenario.clone();
-            s.engine = EngineConfig {
-                control_interval: SimDuration::from_mins(mins),
-                ..s.engine
-            };
-            let run = s.run(&SchedulerKind::EAnt(EAntConfig::paper_default()));
+            spec.engine.control_interval = SimDuration::from_mins(mins);
+            let run = spec.execute(
+                &SchedulerKind::EAnt(EAntConfig::paper_default()),
+                seed,
+                true,
+            );
             savings[i] +=
                 kj(baseline.total_energy_joules() - run.total_energy_joules()) / seeds.len() as f64;
         }

@@ -3,9 +3,12 @@
 //!
 //! A scenario file describes a complete experiment — workload mix, fleet
 //! composition, engine/fault/power knobs, scheduler grid, seeds and
-//! regression tolerances — in canonical JSON (see [`ScenarioSpec`]). The
-//! committed library under `scenarios/` covers regimes the hard-coded
-//! figure modules don't: diurnal double-peak arrivals, deadline batches,
+//! regression tolerances — in canonical JSON (see [`ScenarioSpec`]).
+//! [`ScenarioSpec::execute`] is the one way to run a scenario: the figure
+//! modules clone the Fig. 8 grid (`scenarios/fig8-msd.json`, loaded by
+//! [`crate::common::fig8_spec`]) and override its engine or fast workload.
+//! The rest of the committed library under `scenarios/` covers regimes the
+//! figures don't: diurnal double-peak arrivals, deadline batches,
 //! multi-tenant mixes, rack-locality skew, fleet refresh and crash-heavy
 //! churn. The commands:
 //!
@@ -15,10 +18,9 @@
 //! experiments scenario compare <baseline> <candidate>
 //! ```
 //!
-//! `run`/`sweep` execute every (scheduler × seed) cell through the same
-//! engine pipeline as the figure modules and, with `--db`, upsert each
-//! result into a [`RunDb`]. `compare` diffs two databases and exits
-//! non-zero when any delta exceeds its scenario's tolerance — the CI
+//! `run`/`sweep` execute every (scheduler × seed) cell and, with `--db`,
+//! upsert each result into a [`RunDb`]. `compare` diffs two databases and
+//! exits non-zero when any delta exceeds its scenario's tolerance — the CI
 //! energy/perf regression gate.
 
 mod rundb;

@@ -364,9 +364,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// Generates the job mix for one run. MSD workloads draw from the same
-    /// `fork("msd")` stream as [`crate::common::Scenario::jobs`], so a spec
-    /// re-expressing a hard-coded experiment reproduces its bytes.
+    /// Generates the job mix for one run. MSD workloads draw from the
+    /// seed's `fork("msd")` stream, streams mixes from its `fork("mix")`.
     pub fn jobs(&self, seed: u64, fast: bool) -> Vec<JobSpec> {
         match self.workload_for(fast) {
             WorkloadSpec::Msd(cfg) => cfg.generate(&mut SimRng::seed_from(seed).fork("msd")),
@@ -411,9 +410,8 @@ impl ScenarioSpec {
         self.execute_observed(kind, seed, fast, |_, _| {})
     }
 
-    /// Runs one cell with an observer hook — the same call sequence as
-    /// [`crate::common::Scenario::run_observed_on`], so traced and plain
-    /// runs agree byte for byte.
+    /// Runs one cell with an observer hook; observers never feed back into
+    /// the run, so traced and plain runs agree byte for byte.
     pub fn execute_observed(
         &self,
         kind: &SchedulerKind,
@@ -2002,32 +2000,6 @@ mod tests {
         let mut other = spec.clone();
         other.engine.reduce_slowstart = 0.5;
         assert_ne!(base, other.manifest_key(&kind, 11, true));
-    }
-
-    #[test]
-    fn execute_matches_hardcoded_scenario_path() {
-        // The spec path must reproduce common::Scenario byte-for-byte when
-        // it re-expresses the same run (the fig8 equivalence contract).
-        use crate::common::Scenario;
-        use metrics::emit::run_result_json;
-
-        let scenario = Scenario::fast(2015);
-        let spec = ScenarioSpec {
-            name: "fig8".into(),
-            description: String::new(),
-            seeds: vec![2015],
-            schedulers: vec![SchedulerKind::Fair],
-            workload: WorkloadSpec::Msd(scenario.msd.clone()),
-            fast_workload: None,
-            serve: None,
-            slo: None,
-            fleet: FleetSpec::Paper,
-            engine: scenario.engine.clone(),
-            tolerance: Tolerance::default(),
-        };
-        let via_spec = run_result_json(&spec.execute(&SchedulerKind::Fair, 2015, false));
-        let via_module = run_result_json(&scenario.run(&SchedulerKind::Fair));
-        assert_eq!(via_spec, via_module);
     }
 
     #[test]

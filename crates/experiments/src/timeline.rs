@@ -13,7 +13,7 @@
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-use cluster::{Fleet, SlotKind};
+use cluster::SlotKind;
 use eant::EAntConfig;
 use hadoop_sim::trace::{Observer, SharedObserver};
 use hadoop_sim::{FaultConfig, PowerState, RunResult, SimEvent};
@@ -23,7 +23,8 @@ use metrics::report::Table;
 use metrics::trace::{read_trace_lines, JsonlTraceSink};
 use simcore::SimTime;
 
-use crate::common::{Scenario, SchedulerKind};
+use crate::common::{fig8_spec, SchedulerKind};
+use crate::scenario::{ScenarioSpec, WorkloadSpec};
 
 /// One load sample, taken at each `HeartbeatDrained` event.
 #[derive(Debug, Clone, Copy)]
@@ -178,16 +179,17 @@ impl Observer<SimEvent> for TimelineRecorder {
     }
 }
 
-/// Runs the MSD scenario under a scheduler with a timeline recorder
-/// attached, returning the recorder and the run result.
+/// Runs one `spec` cell with a timeline recorder attached, returning the
+/// recorder and the run result.
 fn record_timeline(
-    scenario: &Scenario,
+    spec: &ScenarioSpec,
     kind: &SchedulerKind,
+    seed: u64,
+    fast: bool,
 ) -> (SharedObserver<TimelineRecorder>, RunResult) {
-    let fleet = Fleet::paper_evaluation();
-    let recorder = SharedObserver::new(TimelineRecorder::new(fleet.len()));
+    let recorder = SharedObserver::new(TimelineRecorder::new(spec.build_fleet().len()));
     let handle = recorder.clone();
-    let result = scenario.run_observed(kind, move |engine, _| {
+    let result = spec.execute_observed(kind, seed, fast, move |engine, _| {
         engine.attach_observer(Box::new(handle));
     });
     (recorder, result)
@@ -197,26 +199,29 @@ fn record_timeline(
 /// with the saturation summary the paper-scale Fig. 8(a) discussion relies
 /// on.
 pub fn run(fast: bool) -> String {
-    let scenario = Scenario::sized(fast, 2015);
-    let fleet = Fleet::paper_evaluation();
+    let spec = fig8_spec();
+    let WorkloadSpec::Msd(msd) = spec.workload_for(fast) else {
+        panic!("fig8-msd.json is an MSD scenario");
+    };
+    let fleet = spec.build_fleet();
     let (map_cap, reduce_cap) = fleet.iter().fold((0usize, 0usize), |(m, r), machine| {
         (
             m + machine.profile().map_slots(),
             r + machine.profile().reduce_slots(),
         )
     });
-    let window_min = scenario.msd.submission_window.as_mins_f64();
+    let window_min = msd.submission_window.as_mins_f64();
 
     let mut out = format!(
         "Cluster load timeline — {} MSD jobs submitted over {:.0} min, \
          {} map / {} reduce slots fleet-wide\n\n",
-        scenario.msd.num_jobs, window_min, map_cap, reduce_cap
+        msd.num_jobs, window_min, map_cap, reduce_cap
     );
     for kind in [
         SchedulerKind::Fair,
         SchedulerKind::EAnt(EAntConfig::paper_default()),
     ] {
-        let (recorder, result) = record_timeline(&scenario, &kind);
+        let (recorder, result) = record_timeline(spec, &kind, 2015, fast);
         recorder.with(|r| {
             out.push_str(&r.render(
                 &format!(
@@ -318,10 +323,10 @@ pub fn write_trace(fast: bool, path: &Path) -> Result<String, String> {
 ///
 /// Returns an error for I/O failures or a streaming/post-hoc mismatch.
 pub fn write_trace_with(opts: TraceOptions, path: &Path) -> Result<String, String> {
-    let mut scenario = Scenario::sized(opts.fast, opts.seed);
-    scenario.engine.fault = FaultConfig::moderate();
-    scenario.engine.trace_decisions = opts.decisions;
-    let fleet = Fleet::paper_evaluation();
+    let mut spec = fig8_spec().clone();
+    spec.engine.fault = FaultConfig::moderate();
+    spec.engine.trace_decisions = opts.decisions;
+    let fleet = spec.build_fleet();
     let file = std::fs::File::create(path)
         .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
     let sink = SharedObserver::new(JsonlTraceSink::new(BufWriter::new(file)));
@@ -332,7 +337,7 @@ pub fn write_trace_with(opts: TraceOptions, path: &Path) -> Result<String, Strin
     let sink_handle = sink.clone();
     let stats_handle = stats.clone();
     let registry_handle = registry.clone();
-    let result = scenario.run_observed(&kind, move |engine, scheduler| {
+    let result = spec.execute_observed(&kind, opts.seed, opts.fast, move |engine, scheduler| {
         engine.attach_observer(Box::new(sink_handle.clone()));
         engine.attach_observer(Box::new(stats_handle));
         engine.attach_observer(Box::new(registry_handle.clone()));

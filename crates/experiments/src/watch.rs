@@ -15,6 +15,7 @@ use cluster::SlotKind;
 use hadoop_sim::{PowerState, SimEvent};
 use metrics::registry::SeriesSnapshot;
 use metrics::trace::read_trace_lines;
+use simcore::stats::percentile_sorted;
 use simcore::SimTime;
 
 use crate::timeline::telemetry_series_path;
@@ -214,11 +215,8 @@ impl Dashboard {
             .filter(|(t, _)| t.as_secs_f64() >= horizon)
             .map(|&(_, s)| s)
             .collect();
-        if xs.is_empty() {
-            return 0.0;
-        }
         xs.sort_by(f64::total_cmp);
-        xs[(95 * xs.len()).div_ceil(100).max(1) - 1]
+        percentile_sorted(&xs, 95).unwrap_or(0.0)
     }
 
     /// Above this fleet size, [`Dashboard::render`] collapses per-machine

@@ -73,7 +73,7 @@ impl JobEntry {
 }
 
 /// Dense job/group scoreboard with an id-sorted active index and O(1)
-/// aggregate totals. See the [module docs](self) for the design.
+/// aggregate totals. The design notes head `cluster_state.rs`.
 ///
 /// # Examples
 ///

@@ -2,6 +2,7 @@
 //! end-of-run result assembly.
 
 use simcore::series::TimeSeries;
+use simcore::stats::percentile_sorted;
 use simcore::SimTime;
 
 use cluster::SlotKind;
@@ -239,17 +240,11 @@ impl Engine {
         // nearest-rank percentile — is exact and deterministic.
         sojourns.sort();
         let completions = sojourns.len() as u64;
-        let latency_distribution = if sojourns.is_empty() {
-            Vec::new()
-        } else {
-            [50u8, 90, 95, 99]
-                .iter()
-                .map(|&p| {
-                    let rank = (p as usize * sojourns.len()).div_ceil(100).max(1);
-                    (p, sojourns[rank - 1])
-                })
-                .collect()
-        };
+        // Empty when nothing completed in the window.
+        let latency_distribution = [50u8, 90, 95, 99]
+            .iter()
+            .filter_map(|&p| Some((p, percentile_sorted(&sojourns, p.into())?)))
+            .collect();
         let mean_sojourn = if sojourns.is_empty() {
             simcore::SimDuration::ZERO
         } else {

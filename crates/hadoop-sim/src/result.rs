@@ -185,8 +185,9 @@ pub struct RunResult {
     /// Whether the run drained all jobs before the time limit.
     pub drained: bool,
     /// Group labels interned over the run, in [`workload::GroupId`] order:
-    /// `groups[g.index()]` resolves a [`TaskReport::group`] symbol back to
-    /// its label (e.g. `"Terasort-M"`).
+    /// `groups[g.index()]` resolves a
+    /// [`TaskReport::group`](crate::TaskReport::group) symbol back to its
+    /// label (e.g. `"Terasort-M"`).
     pub groups: Vec<String>,
     /// Per-job outcomes, in submission order.
     pub jobs: Vec<JobOutcome>,

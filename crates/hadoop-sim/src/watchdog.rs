@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use simcore::stats::percentile_sorted;
 use simcore::trace::{Observer, RingRecorder};
 use simcore::{SimDuration, SimTime};
 use workload::JobId;
@@ -181,8 +182,8 @@ impl SloWatchdog {
         sojourns.sort_by(f64::total_cmp);
         SloStats {
             window_completions: sojourns.len() as u64,
-            p95_sojourn_s: nearest_rank(&sojourns, 95),
-            p99_sojourn_s: nearest_rank(&sojourns, 99),
+            p95_sojourn_s: percentile_sorted(&sojourns, 95).unwrap_or(0.0),
+            p99_sojourn_s: percentile_sorted(&sojourns, 99).unwrap_or(0.0),
             queue_depth: self.queue.back().map_or(0, |&(_, q)| q),
             backlog_growth_per_min: self.backlog_growth(),
         }
@@ -271,16 +272,6 @@ impl SloWatchdog {
             }
         }
     }
-}
-
-/// Nearest-rank percentile of an ascending slice (the same convention as
-/// the engine's service statistics). Zero for an empty slice.
-fn nearest_rank(sorted: &[f64], p: u64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p as usize * sorted.len()).div_ceil(100)).max(1);
-    sorted[rank - 1]
 }
 
 impl Observer<SimEvent> for SloWatchdog {
@@ -437,14 +428,5 @@ mod tests {
         }
         assert!(wd.breach().is_none());
         assert_eq!(wd.ring().seen(), 200);
-    }
-
-    #[test]
-    fn nearest_rank_matches_service_stats_convention() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(nearest_rank(&v, 50), 2.0);
-        assert_eq!(nearest_rank(&v, 99), 4.0);
-        assert_eq!(nearest_rank(&[], 99), 0.0);
-        assert_eq!(nearest_rank(&[7.0], 1), 7.0);
     }
 }

@@ -71,7 +71,8 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// including arrays and objects nested deeper than 128 levels.
     ///
     /// # Examples
     ///
@@ -85,6 +86,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -178,9 +180,15 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Every
+/// document the repository writes nests under a dozen levels; the cap
+/// turns hostile input into an error instead of a recursion stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -218,12 +226,30 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<JsonValue, String> {
@@ -915,6 +941,17 @@ mod tests {
         ] {
             assert!(JsonValue::parse(doc).is_err(), "accepted {doc:?}");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let err = JsonValue::parse(&format!("[{at_cap}]")).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ use cluster::{MachineId, SlotKind};
 use hadoop_sim::trace::Observer;
 use hadoop_sim::SimEvent;
 use simcore::series::TimeSeries;
+use simcore::stats::nearest_rank;
 use simcore::SimTime;
 use workload::TaskId;
 
@@ -341,7 +342,7 @@ fn bucket_percentile(h: &Histogram, p: u64) -> Option<f64> {
     if h.count == 0 {
         return None;
     }
-    let rank = (p * h.count).div_ceil(100).max(1);
+    let rank = nearest_rank(p, h.count);
     let mut cumulative = 0u64;
     for (i, &count) in h.buckets.iter().enumerate() {
         cumulative += count;

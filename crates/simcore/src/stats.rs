@@ -225,6 +225,32 @@ pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
+/// 1-based nearest-rank index of the `p`-th percentile among `n`
+/// observations: `⌈p·n/100⌉`, never below 1. The one percentile convention
+/// shared by the engine's service statistics, the SLO watchdog, the metric
+/// registry's histograms, `watch` and `explain`.
+pub fn nearest_rank(p: u64, n: u64) -> u64 {
+    (p * n).div_ceil(100).max(1)
+}
+
+/// The nearest-rank `p`-th percentile of an ascending slice (see
+/// [`nearest_rank`]); `None` when the slice is empty.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::stats::percentile_sorted;
+///
+/// assert_eq!(percentile_sorted(&[1.0, 2.0, 3.0, 4.0], 50), Some(2.0));
+/// assert_eq!(percentile_sorted::<f64>(&[], 99), None);
+/// ```
+pub fn percentile_sorted<T: Copy>(sorted: &[T], p: u64) -> Option<T> {
+    if sorted.is_empty() {
+        return None;
+    }
+    Some(sorted[nearest_rank(p, sorted.len() as u64) as usize - 1])
+}
+
 /// Ordinary least squares fit `y ≈ a + b·x`, returning `(a, b)`.
 ///
 /// This is the "standard system identification technique" the paper uses to
@@ -282,6 +308,18 @@ pub fn jain_fairness(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_matches_service_stats_convention() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile_sorted(&v, 50), Some(2.0));
+        assert_eq!(percentile_sorted(&v, 99), Some(4.0));
+        assert_eq!(percentile_sorted::<f64>(&[], 99), None);
+        assert_eq!(percentile_sorted(&[7.0], 1), Some(7.0));
+        assert_eq!(nearest_rank(0, 10), 1);
+        assert_eq!(nearest_rank(95, 20), 19);
+        assert_eq!(nearest_rank(95, 21), 20);
+    }
 
     #[test]
     fn online_stats_basics() {

@@ -12,33 +12,40 @@
 //! [`RunResult`]: hadoop_sim::RunResult
 
 use eant::EAntConfig;
-use experiments::common::{parallel_runs_with_workers, Scenario, SchedulerKind};
+use experiments::common::{fig8_spec, parallel_runs_with_workers, SchedulerKind};
+use experiments::scenario::{ScenarioSpec, WorkloadSpec};
 use hadoop_sim::trace::{SharedObserver, VecRecorder};
 use hadoop_sim::{RunResult, TaskReport};
 use metrics::emit::{run_result_json, ToJson};
 use simcore::SimDuration;
 use workload::msd::MsdConfig;
 
-/// A deliberately small scenario so the 3-sweep matrix stays fast.
-fn small_scenario(seed: u64) -> Scenario {
-    let mut s = Scenario::fast(seed);
-    s.msd = MsdConfig {
+/// A deliberately small scenario so the 3-sweep matrix stays fast: the
+/// Fig. 8 grid with a 6-job fast workload.
+fn small_spec() -> ScenarioSpec {
+    let mut spec = fig8_spec().clone();
+    spec.fast_workload = Some(WorkloadSpec::Msd(MsdConfig {
         num_jobs: 6,
         task_scale: 32,
         submission_window: SimDuration::from_mins(4),
-    };
-    s
+    }));
+    spec
 }
 
-/// Runs the scenario with a streaming report recorder attached, returning
+/// Runs the fast `seed` cell of `spec` with a streaming report recorder
+/// attached, returning
 /// the result and the collected reports so the serialized bytes still
 /// cover per-task reports (the result carries no report buffer of its
 /// own). The recorder is built inside the call, keeping closures over this
 /// function `Send` for the worker pool.
-fn run_with_reports(scenario: &Scenario, kind: &SchedulerKind) -> (RunResult, Vec<TaskReport>) {
+fn run_with_reports(
+    spec: &ScenarioSpec,
+    kind: &SchedulerKind,
+    seed: u64,
+) -> (RunResult, Vec<TaskReport>) {
     let recorder: SharedObserver<VecRecorder<TaskReport>> = SharedObserver::new(VecRecorder::new());
     let handle = recorder.clone();
-    let result = scenario.run_observed(kind, move |engine, _| {
+    let result = spec.execute_observed(kind, seed, true, move |engine, _| {
         engine.attach_report_observer(Box::new(handle));
     });
     let reports = recorder
@@ -76,7 +83,7 @@ fn sweep(workers: usize) -> Vec<String> {
         .flat_map(|kind| {
             seeds.iter().map(move |&seed| {
                 let kind = kind.clone();
-                move || run_with_reports(&small_scenario(seed), &kind)
+                move || run_with_reports(&small_spec(), &kind, seed)
             })
         })
         .collect();
@@ -113,8 +120,8 @@ fn consecutive_sweeps_agree() {
 #[test]
 fn distinct_seeds_serialize_distinctly() {
     let kind = SchedulerKind::Fair;
-    let a = run_bytes(&run_with_reports(&small_scenario(11), &kind));
-    let b = run_bytes(&run_with_reports(&small_scenario(12), &kind));
+    let a = run_bytes(&run_with_reports(&small_spec(), &kind, 11));
+    let b = run_bytes(&run_with_reports(&small_spec(), &kind, 12));
     assert_ne!(a, b);
 }
 
@@ -143,15 +150,15 @@ fn tracing_does_not_perturb_runs() {
         SchedulerKind::EAnt(EAntConfig::paper_default()),
     ];
     for kind in kinds {
-        let scenario = small_scenario(11);
-        let plain = run_result_json(&scenario.run(&kind));
+        let spec = small_spec();
+        let plain = run_result_json(&spec.execute(&kind, 11, true));
 
         let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
         let stats = SharedObserver::new(StreamingRunStats::new(16));
         let sink_engine = sink.clone();
         let sink_scheduler = sink.clone();
         let stats_handle = stats.clone();
-        let traced = scenario.run_observed(&kind, move |engine, scheduler| {
+        let traced = spec.execute_observed(&kind, 11, true, move |engine, scheduler| {
             engine.attach_observer(Box::new(sink_engine));
             engine.attach_observer(Box::new(stats_handle));
             scheduler.attach_observer(Box::new(sink_scheduler));
@@ -171,8 +178,8 @@ fn tracing_does_not_perturb_runs() {
 
 /// A faulted variant of the small scenario: crashes, retries and
 /// blacklisting all active.
-fn faulted_scenario(seed: u64) -> Scenario {
-    let mut s = small_scenario(seed);
+fn faulted_spec() -> ScenarioSpec {
+    let mut s = small_spec();
     s.engine.fault = hadoop_sim::FaultConfig {
         crash_mtbf: SimDuration::from_mins(30),
         crash_downtime: SimDuration::from_mins(1),
@@ -198,7 +205,7 @@ fn faulted_sweep(workers: usize) -> Vec<String> {
         .flat_map(|kind| {
             seeds.iter().map(move |&seed| {
                 let kind = kind.clone();
-                move || run_with_reports(&faulted_scenario(seed), &kind)
+                move || run_with_reports(&faulted_spec(), &kind, seed)
             })
         })
         .collect();
@@ -237,12 +244,12 @@ fn decision_trace_bytes(seed: u64, kind: &SchedulerKind) -> Vec<u8> {
     use hadoop_sim::trace::SharedObserver;
     use metrics::trace::JsonlTraceSink;
 
-    let mut scenario = small_scenario(seed);
-    scenario.engine.trace_decisions = true;
+    let mut spec = small_spec();
+    spec.engine.trace_decisions = true;
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let sink_engine = sink.clone();
     let sink_scheduler = sink.clone();
-    let _ = scenario.run_observed(kind, move |engine, scheduler| {
+    let _ = spec.execute_observed(kind, seed, true, move |engine, scheduler| {
         engine.attach_observer(Box::new(sink_engine));
         scheduler.attach_observer(Box::new(sink_scheduler));
     });
@@ -298,11 +305,11 @@ fn faulted_trace_round_trips_through_codec() {
     use hadoop_sim::trace::SharedObserver;
     use metrics::trace::{parse_trace_line, trace_line, JsonlTraceSink};
 
-    let scenario = faulted_scenario(11);
+    let spec = faulted_spec();
     let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let handle = sink.clone();
-    let _ = scenario.run_observed(&kind, move |engine, _| {
+    let _ = spec.execute_observed(&kind, 11, true, move |engine, _| {
         engine.attach_observer(Box::new(handle));
     });
     let bytes = sink

@@ -12,7 +12,8 @@
 use std::collections::BTreeSet;
 
 use eant::EAntConfig;
-use experiments::common::{Scenario, SchedulerKind};
+use experiments::common::{fig8_spec, SchedulerKind};
+use experiments::scenario::{ScenarioSpec, WorkloadSpec};
 use hadoop_sim::trace::SharedObserver;
 use hadoop_sim::{DvfsConfig, PowerDownConfig, RunResult, SpeculationPolicy};
 use metrics::spec::fnv1a_64;
@@ -54,7 +55,7 @@ fn goldens() -> Vec<Golden> {
 }
 
 fn run(kind: &SchedulerKind) -> RunResult {
-    Scenario::fast(2015).run(kind)
+    fig8_spec().execute(kind, 2015, true)
 }
 
 fn assert_close(what: &str, observed: f64, expected: f64, rel_tol: f64) {
@@ -124,23 +125,31 @@ fn eant_savings_match_goldens() {
 const TRACE_GOLDEN_EVENTS: u64 = 8796;
 const TRACE_GOLDEN_FNV1A: u64 = 0xe975ce6ddbe27729;
 
-#[test]
-fn golden_trace_digest() {
-    let mut scenario = Scenario::fast(2015);
-    scenario.msd = MsdConfig {
+/// The golden trace scenario: the Fig. 8 grid with an 8-job fast workload
+/// and speculation, power-down and DVFS switched on.
+fn golden_trace_spec() -> ScenarioSpec {
+    let mut spec = fig8_spec().clone();
+    spec.fast_workload = Some(WorkloadSpec::Msd(MsdConfig {
         num_jobs: 8,
         task_scale: 32,
         submission_window: SimDuration::from_mins(4),
-    };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
+    }));
+    spec.engine.speculation = SpeculationPolicy::Late;
+    spec.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+    spec.engine.dvfs = Some(DvfsConfig::conservative());
+    spec
+}
 
+#[test]
+fn golden_trace_digest() {
+    let spec = golden_trace_spec();
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let engine_sink = sink.clone();
     let scheduler_sink = sink.clone();
-    let result = scenario.run_observed(
+    let result = spec.execute_observed(
         &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        2015,
+        true,
         move |engine, scheduler| {
             engine.attach_observer(Box::new(engine_sink));
             scheduler.attach_observer(Box::new(scheduler_sink));
@@ -204,22 +213,16 @@ const FAULTED_TRACE_GOLDEN_FNV1A: u64 = 0x2ac2cde2b757182e;
 
 #[test]
 fn golden_faulted_trace_digest() {
-    let mut scenario = Scenario::fast(2015);
-    scenario.msd = MsdConfig {
-        num_jobs: 8,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
-    scenario.engine.fault = hadoop_sim::FaultConfig::moderate();
+    let mut spec = golden_trace_spec();
+    spec.engine.fault = hadoop_sim::FaultConfig::moderate();
 
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let engine_sink = sink.clone();
     let scheduler_sink = sink.clone();
-    let result = scenario.run_observed(
+    let result = spec.execute_observed(
         &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        2015,
+        true,
         move |engine, scheduler| {
             engine.attach_observer(Box::new(engine_sink));
             scheduler.attach_observer(Box::new(scheduler_sink));
@@ -282,22 +285,16 @@ const DECISION_TRACE_GOLDEN_FNV1A: u64 = 0x6162eb7b45f71ac0;
 
 #[test]
 fn golden_decision_trace_digest() {
-    let mut scenario = Scenario::fast(2015);
-    scenario.msd = MsdConfig {
-        num_jobs: 8,
-        task_scale: 32,
-        submission_window: SimDuration::from_mins(4),
-    };
-    scenario.engine.speculation = SpeculationPolicy::Late;
-    scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
-    scenario.engine.dvfs = Some(DvfsConfig::conservative());
-    scenario.engine.trace_decisions = true;
+    let mut spec = golden_trace_spec();
+    spec.engine.trace_decisions = true;
 
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let engine_sink = sink.clone();
     let scheduler_sink = sink.clone();
-    let result = scenario.run_observed(
+    let result = spec.execute_observed(
         &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        2015,
+        true,
         move |engine, scheduler| {
             engine.attach_observer(Box::new(engine_sink));
             scheduler.attach_observer(Box::new(scheduler_sink));
@@ -355,7 +352,11 @@ fn golden_decision_trace_digest() {
 /// rather than showing up as silent EXPERIMENTS.md drift.
 #[test]
 fn paper_scale_eant_makespan_matches_golden() {
-    let r = Scenario::paper(1234).run(&SchedulerKind::EAnt(EAntConfig::paper_default()));
+    let r = fig8_spec().execute(
+        &SchedulerKind::EAnt(EAntConfig::paper_default()),
+        1234,
+        false,
+    );
     assert!(r.drained, "paper-scale E-Ant failed to drain");
     assert_close(
         "paper-scale E-Ant makespan (s)",
@@ -468,33 +469,5 @@ fn scenario_library_matches_goldens() {
             observed, digest,
             "{name} result digest drifted (observed {observed:#018x})"
         );
-    }
-}
-
-/// The Fig. 8 grid reproduced *from the scenario file* is byte-identical
-/// to the hard-coded [`Scenario`] path: same canonical serialized result
-/// for every scheduler in the file, at two of its seeds. This is the
-/// contract that lets scenario files replace the figure modules without a
-/// re-baseline.
-#[test]
-fn fig8_scenario_file_reproduces_hardcoded_grid() {
-    use experiments::scenario::{library_dir, load_spec};
-    use metrics::emit::run_result_json;
-
-    let spec = load_spec(&library_dir().join("fig8-msd.json")).unwrap_or_else(|e| panic!("{e}"));
-    for seed in [2015u64, 1234] {
-        assert!(
-            spec.seeds.contains(&seed),
-            "fig8-msd.json dropped seed {seed}"
-        );
-        for kind in &spec.schedulers {
-            let from_spec = run_result_json(&spec.execute(kind, seed, true));
-            let hard_coded = run_result_json(&Scenario::fast(seed).run(kind));
-            assert!(
-                from_spec == hard_coded,
-                "{} seed {seed}: scenario-file run diverges from the hard-coded path",
-                kind.label()
-            );
-        }
     }
 }

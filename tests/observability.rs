@@ -4,8 +4,8 @@
 //! postmortem flight recorder.
 
 use eant::EAntConfig;
-use experiments::common::{parallel_runs_with_workers, Scenario, SchedulerKind};
-use experiments::scenario::{library_dir, load_spec, ScenarioSpec};
+use experiments::common::{fig8_spec, parallel_runs_with_workers, SchedulerKind};
+use experiments::scenario::{library_dir, load_spec, ScenarioSpec, WorkloadSpec};
 use experiments::slo::{run_monitored, MonitoredCell, PostmortemBundle};
 use experiments::timeline::{registry_snapshot_path, telemetry_series_path};
 use hadoop_sim::trace::SharedObserver;
@@ -17,15 +17,16 @@ use simcore::SimDuration;
 use std::path::PathBuf;
 use workload::msd::MsdConfig;
 
-/// A small fixed scenario shared by every test here.
-fn small_scenario(seed: u64) -> Scenario {
-    let mut s = Scenario::fast(seed);
-    s.msd = MsdConfig {
+/// A small fixed scenario shared by every test here: the Fig. 8 grid with
+/// a 6-job fast workload.
+fn small_spec() -> ScenarioSpec {
+    let mut spec = fig8_spec().clone();
+    spec.fast_workload = Some(WorkloadSpec::Msd(MsdConfig {
         num_jobs: 6,
         task_scale: 32,
         submission_window: SimDuration::from_mins(4),
-    };
-    s
+    }));
+    spec
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -34,13 +35,13 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(format!("{name}-{}.jsonl", std::process::id()))
 }
 
-/// Runs the scenario with a JSONL sink on the engine stream and writes the
-/// trace to `path`.
-fn write_scenario_trace(scenario: &Scenario, path: &PathBuf) {
+/// Runs the fast `seed` cell of `spec` with a JSONL sink on the engine
+/// stream and writes the trace to `path`.
+fn write_scenario_trace(spec: &ScenarioSpec, seed: u64, path: &PathBuf) {
     let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
     let sink = SharedObserver::new(JsonlTraceSink::new(Vec::<u8>::new()));
     let handle = sink.clone();
-    let _ = scenario.run_observed(&kind, move |engine, _| {
+    let _ = spec.execute_observed(&kind, seed, true, move |engine, _| {
         engine.attach_observer(Box::new(handle));
     });
     let bytes = sink
@@ -60,8 +61,8 @@ fn write_scenario_trace(scenario: &Scenario, path: &PathBuf) {
 fn trace_diff_pinpoints_first_machine_failure() {
     let clean_path = tmp("clean");
     let faulted_path = tmp("faulted");
-    let clean = small_scenario(11);
-    let mut faulted = small_scenario(11);
+    let clean = small_spec();
+    let mut faulted = small_spec();
     faulted.engine.fault = FaultConfig {
         crash_mtbf: SimDuration::from_mins(30),
         crash_downtime: SimDuration::from_mins(1),
@@ -69,8 +70,8 @@ fn trace_diff_pinpoints_first_machine_failure() {
         blacklist_threshold: 10,
         ..FaultConfig::none()
     };
-    write_scenario_trace(&clean, &clean_path);
-    write_scenario_trace(&faulted, &faulted_path);
+    write_scenario_trace(&clean, 11, &clean_path);
+    write_scenario_trace(&faulted, 11, &faulted_path);
 
     let scoped =
         experiments::tracediff::run(&clean_path, &faulted_path, Some("machine_failed")).unwrap();
@@ -147,8 +148,8 @@ fn replay_prints_decision_breakdown_and_registry_snapshot() {
 fn registry_snapshot_is_replay_invariant() {
     use metrics::trace::read_trace_lines;
 
-    let mut scenario = small_scenario(7);
-    scenario.engine.trace_decisions = true;
+    let mut spec = small_spec();
+    spec.engine.trace_decisions = true;
     let kind = SchedulerKind::EAnt(EAntConfig::paper_default());
 
     // The registry must see the same stream the sink serializes: both get
@@ -157,7 +158,7 @@ fn registry_snapshot_is_replay_invariant() {
     let live = SharedObserver::new(RegistryObserver::new());
     let sink_handle = sink.clone();
     let live_handle = live.clone();
-    let _ = scenario.run_observed(&kind, move |engine, scheduler| {
+    let _ = spec.execute_observed(&kind, 7, true, move |engine, scheduler| {
         engine.attach_observer(Box::new(sink_handle.clone()));
         engine.attach_observer(Box::new(live_handle.clone()));
         scheduler.attach_observer(Box::new(sink_handle));

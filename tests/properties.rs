@@ -880,7 +880,8 @@ fn scoreboard_matches_oracle_rebuild() {
 #[test]
 fn streaming_stats_match_posthoc() {
     use eant::EAntConfig;
-    use experiments::common::{Scenario, SchedulerKind};
+    use experiments::common::{fig8_spec, SchedulerKind};
+    use experiments::scenario::WorkloadSpec;
     use hadoop_sim::trace::SharedObserver;
     use hadoop_sim::DvfsConfig;
     use metrics::observers::StreamingRunStats;
@@ -889,22 +890,22 @@ fn streaming_stats_match_posthoc() {
 
     check("streaming_stats_match_posthoc", 6, |rng| {
         let seed = rng.next_u64();
-        let mut scenario = Scenario::fast(seed);
-        scenario.msd = MsdConfig {
+        let mut spec = fig8_spec().clone();
+        spec.fast_workload = Some(WorkloadSpec::Msd(MsdConfig {
             num_jobs: rng.uniform_u64(3, 8) as usize,
             task_scale: 32,
             submission_window: SimDuration::from_mins(rng.uniform_u64(2, 6)),
-        };
-        scenario.engine.speculation = [
+        }));
+        spec.engine.speculation = [
             SpeculationPolicy::Off,
             SpeculationPolicy::Hadoop,
             SpeculationPolicy::Late,
         ][rng.uniform_u64(0, 2) as usize];
         if rng.chance(0.3) {
-            scenario.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
+            spec.engine.power_down = Some(PowerDownConfig::suspend_to_ram());
         }
         if rng.chance(0.3) {
-            scenario.engine.dvfs = Some(DvfsConfig::conservative());
+            spec.engine.dvfs = Some(DvfsConfig::conservative());
         }
         let num_machines = Fleet::paper_evaluation().len();
         for kind in [
@@ -915,7 +916,7 @@ fn streaming_stats_match_posthoc() {
         ] {
             let stats = SharedObserver::new(StreamingRunStats::new(num_machines));
             let handle = stats.clone();
-            let result = scenario.run_observed(&kind, move |engine, _| {
+            let result = spec.execute_observed(&kind, seed, true, move |engine, _| {
                 engine.attach_observer(Box::new(handle));
             });
             stats

@@ -138,6 +138,22 @@ fn malformed_specs_name_the_offending_line() {
     }
 }
 
+/// Hostile nesting is an error, not a stack overflow, on every path that
+/// parses JSON: raw documents, trace lines and scenario files. The scenario
+/// error still names the line.
+#[test]
+fn deeply_nested_input_is_rejected() {
+    use metrics::emit::JsonValue;
+    use metrics::trace::parse_trace_line;
+
+    let deep = "[".repeat(100_000);
+    let err = JsonValue::parse(&deep).unwrap_err();
+    assert!(err.contains("nesting deeper than"), "{err}");
+    assert!(parse_trace_line(&deep).is_err());
+    let err = ScenarioSpec::parse(&deep).unwrap_err();
+    assert!(err.starts_with("line 1: nesting deeper than"), "{err}");
+}
+
 /// Every committed scenario file parses, survives the emit∘parse∘emit
 /// round trip, and declares at least one seed and scheduler.
 #[test]
