@@ -264,29 +264,58 @@ pub enum SimEvent {
 }
 
 impl SimEvent {
+    /// Every variant's stable snake_case tag, indexed by
+    /// [`SimEvent::kind_index`].
+    pub const KINDS: [&'static str; 18] = [
+        "job_submitted",
+        "job_completed",
+        "task_started",
+        "task_completed",
+        "heartbeat_drained",
+        "slot_occupancy_changed",
+        "power_state_changed",
+        "speculation_launched",
+        "control_interval_fired",
+        "pheromone_updated",
+        "energy_model_refit",
+        "task_failed",
+        "machine_failed",
+        "map_output_lost",
+        "machine_recovered",
+        "machine_blacklisted",
+        "assignment_decision",
+        "run_finished",
+    ];
+
+    /// Dense index of the variant into [`SimEvent::KINDS`], for consumers
+    /// that keep one slot per event kind.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            SimEvent::JobSubmitted { .. } => 0,
+            SimEvent::JobCompleted { .. } => 1,
+            SimEvent::TaskStarted { .. } => 2,
+            SimEvent::TaskCompleted { .. } => 3,
+            SimEvent::HeartbeatDrained { .. } => 4,
+            SimEvent::SlotOccupancyChanged { .. } => 5,
+            SimEvent::PowerStateChanged { .. } => 6,
+            SimEvent::SpeculationLaunched { .. } => 7,
+            SimEvent::ControlIntervalFired { .. } => 8,
+            SimEvent::PheromoneUpdated { .. } => 9,
+            SimEvent::EnergyModelRefit { .. } => 10,
+            SimEvent::TaskFailed { .. } => 11,
+            SimEvent::MachineFailed { .. } => 12,
+            SimEvent::MapOutputLost { .. } => 13,
+            SimEvent::MachineRecovered { .. } => 14,
+            SimEvent::MachineBlacklisted { .. } => 15,
+            SimEvent::AssignmentDecision { .. } => 16,
+            SimEvent::RunFinished { .. } => 17,
+        }
+    }
+
     /// Stable snake_case tag identifying the variant — the `"type"` field
     /// of the canonical JSONL trace encoding.
     pub fn kind(&self) -> &'static str {
-        match self {
-            SimEvent::JobSubmitted { .. } => "job_submitted",
-            SimEvent::JobCompleted { .. } => "job_completed",
-            SimEvent::TaskStarted { .. } => "task_started",
-            SimEvent::TaskCompleted { .. } => "task_completed",
-            SimEvent::HeartbeatDrained { .. } => "heartbeat_drained",
-            SimEvent::SlotOccupancyChanged { .. } => "slot_occupancy_changed",
-            SimEvent::PowerStateChanged { .. } => "power_state_changed",
-            SimEvent::SpeculationLaunched { .. } => "speculation_launched",
-            SimEvent::ControlIntervalFired { .. } => "control_interval_fired",
-            SimEvent::PheromoneUpdated { .. } => "pheromone_updated",
-            SimEvent::EnergyModelRefit { .. } => "energy_model_refit",
-            SimEvent::TaskFailed { .. } => "task_failed",
-            SimEvent::MachineFailed { .. } => "machine_failed",
-            SimEvent::MapOutputLost { .. } => "map_output_lost",
-            SimEvent::MachineRecovered { .. } => "machine_recovered",
-            SimEvent::MachineBlacklisted { .. } => "machine_blacklisted",
-            SimEvent::AssignmentDecision { .. } => "assignment_decision",
-            SimEvent::RunFinished { .. } => "run_finished",
-        }
+        Self::KINDS[self.kind_index()]
     }
 }
 
@@ -342,5 +371,9 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), kinds.len());
+        let mut all = SimEvent::KINDS.to_vec();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), SimEvent::KINDS.len());
     }
 }

@@ -132,6 +132,9 @@ pub struct SloWatchdog {
     submitted: BTreeMap<JobId, SimTime>,
     /// `(completed_at, sojourn)` of jobs completed within the window.
     completions: VecDeque<(SimTime, SimDuration)>,
+    /// The same window's sojourns in seconds, kept ascending under
+    /// [`f64::total_cmp`], so a percentile read needs no sort.
+    sorted_sojourns: Vec<f64>,
     /// `(at, pending_total)` heartbeat samples within the window.
     queue: VecDeque<(SimTime, u64)>,
     breach: Option<SloBreach>,
@@ -151,6 +154,7 @@ impl SloWatchdog {
             ring,
             submitted: BTreeMap::new(),
             completions: VecDeque::new(),
+            sorted_sojourns: Vec::new(),
             queue: VecDeque::new(),
             breach: None,
         }
@@ -174,16 +178,11 @@ impl SloWatchdog {
     /// Current rolling-window statistics — the live dashboard view, or the
     /// frozen at-breach view after a breach.
     pub fn stats(&self) -> SloStats {
-        let mut sojourns: Vec<f64> = self
-            .completions
-            .iter()
-            .map(|&(_, d)| d.as_secs_f64())
-            .collect();
-        sojourns.sort_by(f64::total_cmp);
+        let sojourns = &self.sorted_sojourns;
         SloStats {
             window_completions: sojourns.len() as u64,
-            p95_sojourn_s: percentile_sorted(&sojourns, 95).unwrap_or(0.0),
-            p99_sojourn_s: percentile_sorted(&sojourns, 99).unwrap_or(0.0),
+            p95_sojourn_s: percentile_sorted(sojourns, 95).unwrap_or(0.0),
+            p99_sojourn_s: percentile_sorted(sojourns, 99).unwrap_or(0.0),
             queue_depth: self.queue.back().map_or(0, |&(_, q)| q),
             backlog_growth_per_min: self.backlog_growth(),
         }
@@ -195,11 +194,28 @@ impl SloWatchdog {
         (self.breach, self.ring.into_events())
     }
 
+    /// Index of the first sorted sojourn not below `secs`.
+    fn sojourn_rank(&self, secs: f64) -> usize {
+        self.sorted_sojourns
+            .partition_point(|s| s.total_cmp(&secs).is_lt())
+    }
+
+    /// Adds a completion to the window.
+    fn push_completion(&mut self, at: SimTime, sojourn: SimDuration) {
+        self.completions.push_back((at, sojourn));
+        let secs = sojourn.as_secs_f64();
+        let i = self.sojourn_rank(secs);
+        self.sorted_sojourns.insert(i, secs);
+    }
+
     /// Drops window entries older than `window` behind `at`.
     fn trim(&mut self, at: SimTime) {
-        while let Some(&(t, _)) = self.completions.front() {
+        while let Some(&(t, sojourn)) = self.completions.front() {
             if t + self.cfg.window < at {
                 self.completions.pop_front();
+                let secs = sojourn.as_secs_f64();
+                let removed = self.sorted_sojourns.remove(self.sojourn_rank(secs));
+                debug_assert_eq!(removed.to_bits(), secs.to_bits());
             } else {
                 break;
             }
@@ -287,7 +303,7 @@ impl Observer<SimEvent> for SloWatchdog {
             }
             SimEvent::JobCompleted { job } => {
                 if let Some(sub) = self.submitted.remove(job) {
-                    self.completions.push_back((at, at - sub));
+                    self.push_completion(at, at - sub);
                     self.trim(at);
                     self.check_sojourn(at);
                 }

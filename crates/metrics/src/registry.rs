@@ -3,8 +3,10 @@
 //! [`Registry`] holds three metric families — monotonic counters, gauges
 //! and fixed-bucket histograms — addressed by `(name, label set)` pairs.
 //! Label sets are interned to dense [`LabelSetId`]s exactly like
-//! `workload::GroupId` interns group names, so the hot path increments by
-//! index and never hashes a string. Snapshots are canonical: metrics are
+//! `workload::GroupId` interns group names, and registration hands back a
+//! dense handle, so an update through a held handle is one indexed add.
+//! Interning and registration build and compare owned strings: they are
+//! the cold path, done once per metric. Snapshots are canonical: metrics are
 //! emitted sorted by name then label set through the [`crate::emit`] JSON
 //! emitter, so two identical runs produce byte-identical snapshot files
 //! (the registry equivalent of the golden trace digests).
@@ -13,7 +15,10 @@
 //! one to an engine (and scheduler) and it folds every [`SimEvent`] into
 //! event counters, per-machine task counters, queue-depth and task-duration
 //! histograms, and the fleet energy gauge — including the per-decision
-//! counters when [`hadoop_sim::EngineConfig::trace_decisions`] is on.
+//! counters when [`hadoop_sim::EngineConfig::trace_decisions`] is on. It
+//! resolves each metric's handle on first sight and keeps it in dense
+//! per-kind and per-machine tables, so a warm event does no string
+//! handling and no heap allocation (`tests/registry_alloc.rs` pins this).
 //!
 //! # Sampling mode
 //!
@@ -43,7 +48,7 @@
 
 use std::collections::BTreeMap;
 
-use cluster::{MachineId, SlotKind};
+use cluster::MachineId;
 use hadoop_sim::trace::Observer;
 use hadoop_sim::SimEvent;
 use simcore::series::TimeSeries;
@@ -525,29 +530,94 @@ const CANDIDATES_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 /// task-duration and queue-depth histograms, the fleet energy gauge, and —
 /// when decision tracing is on — `assignment_decisions_total{kind=...}`
 /// plus a candidate-set-size histogram.
-#[derive(Debug)]
+///
+/// Each metric is registered on the first event that touches it, so a
+/// snapshot lists only the metrics the stream produced; later events reach
+/// it through the cached handle.
+#[derive(Debug, Default)]
 pub struct RegistryObserver {
     registry: Registry,
-    /// Start time of each in-flight attempt, for duration observations.
-    started: BTreeMap<(TaskId, MachineId), SimTime>,
+    handles: Handles,
+    started: AttemptStarts,
     /// Telemetry sampling mode; `None` keeps the observer snapshot-only.
     sampler: Option<Sampler>,
 }
 
-impl Default for RegistryObserver {
-    fn default() -> Self {
-        RegistryObserver::new()
+/// Metric handles resolved on first sight, in dense tables: per event
+/// kind ([`SimEvent::kind_index`]), per machine index, per slot kind
+/// (`SlotKind as usize`) and per completion outcome.
+#[derive(Debug, Default)]
+struct Handles {
+    events: [Option<CounterId>; SimEvent::KINDS.len()],
+    tasks_started: Vec<Option<CounterId>>,
+    task_failures: Vec<Option<CounterId>>,
+    machine_failures: Vec<Option<CounterId>>,
+    /// `[kind][won]` for `tasks_completed_total`.
+    tasks_completed: [[Option<CounterId>; 2]; 2],
+    task_duration: [Option<HistogramId>; 2],
+    decisions: [Option<CounterId>; 2],
+    queue_depth: Option<HistogramId>,
+    decision_candidates: Option<HistogramId>,
+    energy: Option<GaugeId>,
+    total_tasks: Option<GaugeId>,
+}
+
+/// Start time of each in-flight attempt, for duration observations: per
+/// machine, the `(task, started)` pairs of the attempts running there, at
+/// most one per busy slot. Order within a list carries no meaning.
+#[derive(Debug, Default)]
+struct AttemptStarts(Vec<Vec<(TaskId, SimTime)>>);
+
+impl AttemptStarts {
+    /// Records that `task` started on `machine` at `at`, replacing the
+    /// start of an earlier attempt of the same task there.
+    fn start(&mut self, task: TaskId, machine: MachineId, at: SimTime) {
+        let m = machine.index();
+        if self.0.len() <= m {
+            self.0.resize_with(m + 1, Vec::new);
+        }
+        let running = &mut self.0[m];
+        match running.iter_mut().find(|(t, _)| *t == task) {
+            Some(entry) => entry.1 = at,
+            None => running.push((task, at)),
+        }
     }
+
+    /// Forgets the attempt of `task` on `machine`, returning its start.
+    fn take(&mut self, task: TaskId, machine: MachineId) -> Option<SimTime> {
+        let running = self.0.get_mut(machine.index())?;
+        let i = running.iter().position(|(t, _)| *t == task)?;
+        Some(running.swap_remove(i).1)
+    }
+}
+
+/// The handle in `slot`, resolving (and so registering) it on first use.
+fn cached<T: Copy>(slot: &mut Option<T>, resolve: impl FnOnce() -> T) -> T {
+    *slot.get_or_insert_with(resolve)
+}
+
+/// The per-machine `name{machine=<index>}` counter, registered on the
+/// machine's first use.
+fn machine_counter(
+    registry: &mut Registry,
+    table: &mut Vec<Option<CounterId>>,
+    name: &'static str,
+    machine: MachineId,
+) -> CounterId {
+    let m = machine.index();
+    if table.len() <= m {
+        table.resize(m + 1, None);
+    }
+    cached(&mut table[m], || {
+        let labels = registry.label_set(&[("machine", &m.to_string())]);
+        registry.counter(name, labels)
+    })
 }
 
 impl RegistryObserver {
     /// Creates an observer over a fresh registry.
     pub fn new() -> Self {
-        RegistryObserver {
-            registry: Registry::new(),
-            started: BTreeMap::new(),
-            sampler: None,
-        }
+        RegistryObserver::default()
     }
 
     /// Creates an observer with telemetry sampling on (the
@@ -564,9 +634,8 @@ impl RegistryObserver {
     /// Panics if `cap` is zero.
     pub fn with_sampling_capacity(cap: usize) -> Self {
         RegistryObserver {
-            registry: Registry::new(),
-            started: BTreeMap::new(),
             sampler: Some(Sampler::new(cap)),
+            ..RegistryObserver::new()
         }
     }
 
@@ -584,104 +653,105 @@ impl RegistryObserver {
     pub fn into_registry(self) -> Registry {
         self.registry
     }
-
-    fn count_event(&mut self, kind: &'static str) {
-        let labels = self.registry.label_set(&[("type", kind)]);
-        let id = self.registry.counter("events_total", labels);
-        self.registry.inc(id, 1);
-    }
-
-    fn machine_counter(&mut self, name: &'static str, machine: MachineId) {
-        let m = machine.index().to_string();
-        let labels = self.registry.label_set(&[("machine", &m)]);
-        let id = self.registry.counter(name, labels);
-        self.registry.inc(id, 1);
-    }
-
-    fn slot_kind_tag(kind: SlotKind) -> &'static str {
-        match kind {
-            SlotKind::Map => "map",
-            SlotKind::Reduce => "reduce",
-        }
-    }
 }
 
 impl Observer<SimEvent> for RegistryObserver {
     fn on_event(&mut self, at: SimTime, event: &SimEvent) {
-        self.count_event(event.kind());
+        let RegistryObserver {
+            registry: reg,
+            handles: h,
+            started,
+            sampler,
+        } = self;
+        let kind = event.kind_index();
+        let id = cached(&mut h.events[kind], || {
+            let labels = reg.label_set(&[("type", SimEvent::KINDS[kind])]);
+            reg.counter("events_total", labels)
+        });
+        reg.inc(id, 1);
         match event {
             SimEvent::TaskStarted { task, machine, .. } => {
-                self.machine_counter("tasks_started_total", *machine);
-                self.started.insert((*task, *machine), at);
+                let id =
+                    machine_counter(reg, &mut h.tasks_started, "tasks_started_total", *machine);
+                reg.inc(id, 1);
+                started.start(*task, *machine, at);
             }
             SimEvent::TaskCompleted {
                 task, machine, won, ..
             } => {
-                let outcome = if *won { "won" } else { "lost" };
-                let labels = self.registry.label_set(&[
-                    ("kind", Self::slot_kind_tag(task.task.kind)),
-                    ("outcome", outcome),
-                ]);
-                let id = self.registry.counter("tasks_completed_total", labels);
-                self.registry.inc(id, 1);
-                if let Some(started) = self.started.remove(&(*task, *machine)) {
-                    let kind_labels = self
-                        .registry
-                        .label_set(&[("kind", Self::slot_kind_tag(task.task.kind))]);
-                    let h = self.registry.histogram(
-                        "task_duration_seconds",
-                        kind_labels,
-                        &DURATION_BOUNDS,
-                    );
-                    self.registry.observe(h, (at - started).as_secs_f64());
+                let kind = task.task.kind;
+                let slot = &mut h.tasks_completed[kind as usize][usize::from(*won)];
+                let id = cached(slot, || {
+                    let outcome = if *won { "won" } else { "lost" };
+                    let labels = reg.label_set(&[("kind", kind.as_str()), ("outcome", outcome)]);
+                    reg.counter("tasks_completed_total", labels)
+                });
+                reg.inc(id, 1);
+                if let Some(start) = started.take(*task, *machine) {
+                    let id = cached(&mut h.task_duration[kind as usize], || {
+                        let labels = reg.label_set(&[("kind", kind.as_str())]);
+                        reg.histogram("task_duration_seconds", labels, &DURATION_BOUNDS)
+                    });
+                    reg.observe(id, (at - start).as_secs_f64());
                 }
             }
             SimEvent::TaskFailed { task, machine, .. } => {
-                self.machine_counter("task_failures_total", *machine);
-                self.started.remove(&(*task, *machine));
+                let id =
+                    machine_counter(reg, &mut h.task_failures, "task_failures_total", *machine);
+                reg.inc(id, 1);
+                started.take(*task, *machine);
             }
             SimEvent::HeartbeatDrained { pending_total, .. } => {
-                let labels = self.registry.label_set(&[]);
-                let h = self
-                    .registry
-                    .histogram("queue_depth", labels, &QUEUE_DEPTH_BOUNDS);
-                self.registry.observe(h, *pending_total as f64);
+                let id = cached(&mut h.queue_depth, || {
+                    let labels = reg.label_set(&[]);
+                    reg.histogram("queue_depth", labels, &QUEUE_DEPTH_BOUNDS)
+                });
+                reg.observe(id, *pending_total as f64);
             }
             SimEvent::ControlIntervalFired {
                 cumulative_energy_joules,
                 ..
             } => {
-                let labels = self.registry.label_set(&[]);
-                let g = self.registry.gauge("cumulative_energy_joules", labels);
-                self.registry.set(g, *cumulative_energy_joules);
+                let id = cached(&mut h.energy, || {
+                    let labels = reg.label_set(&[]);
+                    reg.gauge("cumulative_energy_joules", labels)
+                });
+                reg.set(id, *cumulative_energy_joules);
             }
             SimEvent::AssignmentDecision {
                 kind, candidates, ..
             } => {
-                let labels = self
-                    .registry
-                    .label_set(&[("kind", Self::slot_kind_tag(*kind))]);
-                let id = self.registry.counter("assignment_decisions_total", labels);
-                self.registry.inc(id, 1);
-                let all = self.registry.label_set(&[]);
-                let h = self
-                    .registry
-                    .histogram("decision_candidates", all, &CANDIDATES_BOUNDS);
-                self.registry.observe(h, candidates.len() as f64);
+                let id = cached(&mut h.decisions[*kind as usize], || {
+                    let labels = reg.label_set(&[("kind", kind.as_str())]);
+                    reg.counter("assignment_decisions_total", labels)
+                });
+                reg.inc(id, 1);
+                let id = cached(&mut h.decision_candidates, || {
+                    let labels = reg.label_set(&[]);
+                    reg.histogram("decision_candidates", labels, &CANDIDATES_BOUNDS)
+                });
+                reg.observe(id, candidates.len() as f64);
             }
             SimEvent::MachineFailed { machine, .. } => {
-                self.machine_counter("machine_failures_total", *machine);
+                let name = "machine_failures_total";
+                let id = machine_counter(reg, &mut h.machine_failures, name, *machine);
+                reg.inc(id, 1);
             }
             SimEvent::RunFinished {
                 total_energy_joules,
                 total_tasks,
                 ..
             } => {
-                let labels = self.registry.label_set(&[]);
-                let g = self.registry.gauge("cumulative_energy_joules", labels);
-                self.registry.set(g, *total_energy_joules);
-                let t = self.registry.gauge("total_tasks", labels);
-                self.registry.set(t, *total_tasks as f64);
+                let energy = cached(&mut h.energy, || {
+                    let labels = reg.label_set(&[]);
+                    reg.gauge("cumulative_energy_joules", labels)
+                });
+                reg.set(energy, *total_energy_joules);
+                let tasks = cached(&mut h.total_tasks, || {
+                    let labels = reg.label_set(&[]);
+                    reg.gauge("total_tasks", labels)
+                });
+                reg.set(tasks, *total_tasks as f64);
             }
             _ => {}
         }
@@ -691,8 +761,8 @@ impl Observer<SimEvent> for RegistryObserver {
             event,
             SimEvent::ControlIntervalFired { .. } | SimEvent::RunFinished { .. }
         ) {
-            if let Some(sampler) = self.sampler.as_mut() {
-                sampler.sample(at, &self.registry);
+            if let Some(sampler) = sampler {
+                sampler.sample(at, reg);
             }
         }
     }
@@ -701,6 +771,7 @@ impl Observer<SimEvent> for RegistryObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::SlotKind;
     use workload::{JobId, TaskIndex};
 
     #[test]

@@ -344,6 +344,91 @@ fn golden_decision_trace_digest() {
     );
 }
 
+/// Pinned FNV-1a 64 digests of the observability outputs: the registry
+/// snapshot and sampled series of the `--fast --decisions` traced Fig. 8
+/// run (the CI observability smoke), the registry snapshot of the
+/// `crash-heavy-churn` fast E-Ant cell (per-machine failure counters), and
+/// the `breach.json` and `series.json` of the `serve-overload-burst-slo`
+/// fast E-Ant postmortem bundle. The replay-invariance tests fold the same
+/// stream twice through the same code; these pin the bytes themselves, so
+/// a change to how the registry or the watchdog folds the stream shows
+/// here. Re-derive with `--nocapture`: the observed digests print below.
+const OBSERVABILITY_GOLDEN_FNV1A: [(&str, u64); 5] = [
+    ("fig8 decisions registry", 0x92e53525e174135d),
+    ("fig8 decisions series", 0xcdddb57db717868e),
+    ("crash-heavy-churn registry", 0x33effcfbef267408),
+    ("serve-overload-burst-slo breach", 0x9ff7320386ef067d),
+    ("serve-overload-burst-slo series", 0x707599ed0b67c66b),
+];
+
+#[test]
+fn observability_bytes_match_goldens() {
+    use experiments::scenario::{library_dir, load_spec};
+    use experiments::slo::run_monitored;
+    use experiments::timeline::{
+        registry_snapshot_path, telemetry_series_path, write_trace_with, TraceOptions,
+    };
+
+    let dir = std::env::temp_dir().join("eant-golden-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join(format!("decisions-{}.jsonl", std::process::id()));
+    write_trace_with(
+        TraceOptions {
+            fast: true,
+            seed: 2015,
+            decisions: true,
+        },
+        &trace,
+    )
+    .unwrap();
+    let read = |path: std::path::PathBuf| {
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        text
+    };
+    let registry = read(registry_snapshot_path(&trace));
+    let series = read(telemetry_series_path(&trace));
+    std::fs::remove_file(&trace).ok();
+
+    let eant_cell = |scenario: &str| {
+        let spec = load_spec(&library_dir().join(format!("{scenario}.json")))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let kind = spec
+            .schedulers
+            .iter()
+            .find(|k| matches!(k, SchedulerKind::EAnt(_)))
+            .unwrap_or_else(|| panic!("{scenario} has no E-Ant cell"))
+            .clone();
+        run_monitored(&spec, &kind, spec.seeds[0], true)
+    };
+    let churn = eant_cell("crash-heavy-churn");
+    let slo = eant_cell("serve-overload-burst-slo");
+    let pm = slo
+        .postmortem
+        .expect("the slo scenario's E-Ant cell breaches");
+
+    let observed = [
+        registry,
+        series
+            .strip_suffix('\n')
+            .expect("series file ends in a newline")
+            .to_owned(),
+        churn.registry.render(),
+        pm.breach_json().render(),
+        pm.series.render(),
+    ]
+    .map(|bytes| fnv1a_64(bytes.as_bytes()));
+    for ((name, _), digest) in OBSERVABILITY_GOLDEN_FNV1A.iter().zip(&observed) {
+        println!("(\"{name}\", {digest:#018x}),");
+    }
+    for ((name, pinned), digest) in OBSERVABILITY_GOLDEN_FNV1A.iter().zip(observed) {
+        assert_eq!(
+            digest, *pinned,
+            "{name} digest drifted (observed {digest:#018x})"
+        );
+    }
+}
+
 /// Fixed-seed paper-scale E-Ant makespan, pinned. The 87-job realization
 /// saturates the fleet and E-Ant's energy-greedy placements stretch the
 /// makespan well past Fair's (the ROADMAP re-tuning item); this golden pins

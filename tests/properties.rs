@@ -1449,3 +1449,255 @@ fn scenario_spec_round_trips_byte_identically() {
         );
     });
 }
+
+/// The SLO watchdog's sorted sojourn window reads the same statistics as
+/// the collect-and-sort window it replaced. Random job submissions,
+/// completions (on a 10 s grid, so equal sojourns are common) and
+/// heartbeats, with jumps past the window, random arming times and
+/// `min_completions` from 0 up: after every event `stats()` must be
+/// bit-equal to the oracle's, and so must the first breach.
+#[test]
+fn slo_window_matches_sort_oracle() {
+    use std::cell::Cell;
+    use std::collections::VecDeque;
+
+    use hadoop_sim::trace::Observer;
+    use hadoop_sim::{SimEvent, SloBreach, SloConfig, SloStats, SloWatchdog};
+    use simcore::SimDuration;
+
+    /// The watchdog's monitors as they were before the sorted window:
+    /// every statistics read collects the window and sorts it.
+    struct Oracle {
+        cfg: SloConfig,
+        submitted: BTreeMap<JobId, SimTime>,
+        completions: VecDeque<(SimTime, SimDuration)>,
+        queue: VecDeque<(SimTime, u64)>,
+        breach: Option<SloBreach>,
+    }
+    impl Oracle {
+        fn stats(&self) -> SloStats {
+            let mut sojourns: Vec<f64> = self
+                .completions
+                .iter()
+                .map(|&(_, d)| d.as_secs_f64())
+                .collect();
+            sojourns.sort_by(f64::total_cmp);
+            let pct = |p: u64| {
+                let n = sojourns.len() as u64;
+                if n == 0 {
+                    0.0
+                } else {
+                    sojourns[(p * n).div_ceil(100).max(1) as usize - 1]
+                }
+            };
+            SloStats {
+                window_completions: sojourns.len() as u64,
+                p95_sojourn_s: pct(95),
+                p99_sojourn_s: pct(99),
+                queue_depth: self.queue.back().map_or(0, |&(_, q)| q),
+                backlog_growth_per_min: self.growth(),
+            }
+        }
+        fn growth(&self) -> f64 {
+            let (Some(&(t0, q0)), Some(&(t1, q1))) = (self.queue.front(), self.queue.back()) else {
+                return 0.0;
+            };
+            let span = t1 - t0;
+            if span + span < self.cfg.window {
+                return 0.0;
+            }
+            (q1 as f64 - q0 as f64) / (span.as_secs_f64() / 60.0)
+        }
+        fn trim(&mut self, at: SimTime) {
+            let window = self.cfg.window;
+            while self
+                .completions
+                .front()
+                .is_some_and(|&(t, _)| t + window < at)
+            {
+                self.completions.pop_front();
+            }
+            while self.queue.front().is_some_and(|&(t, _)| t + window < at) {
+                self.queue.pop_front();
+            }
+        }
+        fn trip(&mut self, at: SimTime, monitor: &'static str, observed: f64, threshold: f64) {
+            let stats = self.stats();
+            self.breach = Some(SloBreach {
+                at,
+                monitor,
+                observed,
+                threshold,
+                stats,
+            });
+        }
+        fn on_event(&mut self, at: SimTime, event: &SimEvent) {
+            if self.breach.is_some() {
+                return;
+            }
+            match event {
+                SimEvent::JobSubmitted { job, .. } => {
+                    self.submitted.insert(*job, at);
+                }
+                SimEvent::JobCompleted { job } => {
+                    let Some(sub) = self.submitted.remove(job) else {
+                        return;
+                    };
+                    self.completions.push_back((at, at - sub));
+                    self.trim(at);
+                    if at < self.cfg.arm_after || self.completions.len() < self.cfg.min_completions
+                    {
+                        return;
+                    }
+                    let stats = self.stats();
+                    if let Some(limit) = self.cfg.p99_sojourn {
+                        if stats.p99_sojourn_s > limit.as_secs_f64() {
+                            self.trip(at, "p99_sojourn", stats.p99_sojourn_s, limit.as_secs_f64());
+                            return;
+                        }
+                    }
+                    if let Some(limit) = self.cfg.p95_sojourn {
+                        if stats.p95_sojourn_s > limit.as_secs_f64() {
+                            self.trip(at, "p95_sojourn", stats.p95_sojourn_s, limit.as_secs_f64());
+                        }
+                    }
+                }
+                SimEvent::HeartbeatDrained { pending_total, .. } => {
+                    let pending = *pending_total;
+                    self.queue.push_back((at, pending));
+                    self.trim(at);
+                    if at < self.cfg.arm_after {
+                        return;
+                    }
+                    if let Some(limit) = self.cfg.max_queue_depth {
+                        if pending > limit {
+                            self.trip(at, "queue_depth", pending as f64, limit as f64);
+                            return;
+                        }
+                    }
+                    if let Some(limit) = self.cfg.max_backlog_growth_per_min {
+                        let growth = self.growth();
+                        if growth > limit {
+                            self.trip(at, "backlog_growth", growth, limit);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn stats_bits(s: &SloStats) -> [u64; 5] {
+        [
+            s.window_completions,
+            s.p95_sojourn_s.to_bits(),
+            s.p99_sojourn_s.to_bits(),
+            s.queue_depth,
+            s.backlog_growth_per_min.to_bits(),
+        ]
+    }
+    fn breach_bits(b: &SloBreach) -> (SimTime, &'static str, u64, u64, [u64; 5]) {
+        (
+            b.at,
+            b.monitor,
+            b.observed.to_bits(),
+            b.threshold.to_bits(),
+            stats_bits(&b.stats),
+        )
+    }
+
+    let breaches = Cell::new(0usize);
+    let expiries = Cell::new(0usize);
+    check("slo_window_matches_sort_oracle", 256, |rng| {
+        let window = SimDuration::from_secs(rng.uniform_u64(60, 1800));
+        let secs = |rng: &mut SimRng, lo: u64, hi: u64| {
+            rng.chance(0.5)
+                .then(|| SimDuration::from_secs(rng.uniform_u64(lo, hi)))
+        };
+        let cfg = SloConfig {
+            window,
+            ring_capacity: 16,
+            arm_after: SimTime::from_secs(rng.uniform_u64(0, 2000)),
+            min_completions: rng.uniform_u64(0, 12) as usize,
+            p95_sojourn: secs(rng, 30, 900),
+            p99_sojourn: secs(rng, 30, 900),
+            max_queue_depth: rng.chance(0.3).then(|| rng.uniform_u64(50, 400)),
+            max_backlog_growth_per_min: rng.chance(0.3).then(|| rng.uniform_range(1.0, 50.0)),
+        };
+        let mut wd = SloWatchdog::new(cfg.clone());
+        let mut oracle = Oracle {
+            cfg,
+            submitted: BTreeMap::new(),
+            completions: VecDeque::new(),
+            queue: VecDeque::new(),
+            breach: None,
+        };
+        let mut now = SimTime::ZERO;
+        let mut in_flight: Vec<JobId> = Vec::new();
+        let mut next_job = 0u64;
+        let mut pending = 100u64;
+        for _ in 0..rng.uniform_u64(1, 400) {
+            let step = if rng.chance(0.03) {
+                window.as_millis() / 1000 + rng.uniform_u64(1, 600)
+            } else {
+                10 * rng.uniform_u64(0, 6)
+            };
+            now += SimDuration::from_secs(step);
+            let event = match rng.uniform_u64(0, 9) {
+                0..=3 => {
+                    next_job += 1;
+                    in_flight.push(JobId(next_job));
+                    SimEvent::JobSubmitted {
+                        job: JobId(next_job),
+                        tasks: 4,
+                    }
+                }
+                4..=6 if !in_flight.is_empty() => {
+                    let i = rng.uniform_u64(0, in_flight.len() as u64 - 1) as usize;
+                    SimEvent::JobCompleted {
+                        job: in_flight.swap_remove(i),
+                    }
+                }
+                4 => SimEvent::JobCompleted {
+                    job: JobId(u64::MAX),
+                },
+                _ => {
+                    pending = (pending + rng.uniform_u64(0, 40)).saturating_sub(20);
+                    SimEvent::HeartbeatDrained {
+                        machine: MachineId(0),
+                        free_map: 0,
+                        free_reduce: 0,
+                        pending_total: pending,
+                    }
+                }
+            };
+            let before = oracle.completions.len();
+            wd.on_event(now, &event);
+            oracle.on_event(now, &event);
+            if oracle.completions.len() < before {
+                expiries.set(expiries.get() + 1);
+            }
+            assert_eq!(
+                stats_bits(&wd.stats()),
+                stats_bits(&oracle.stats()),
+                "stats diverged at {now:?} after {event:?}"
+            );
+            assert_eq!(
+                wd.breach().map(breach_bits),
+                oracle.breach.as_ref().map(breach_bits),
+                "breach diverged at {now:?}"
+            );
+        }
+        breaches.set(breaches.get() + usize::from(oracle.breach.is_some()));
+    });
+    assert!(
+        breaches.get() > 20,
+        "only {} cases breached",
+        breaches.get()
+    );
+    assert!(
+        expiries.get() > 20,
+        "only {} window expiries",
+        expiries.get()
+    );
+}
